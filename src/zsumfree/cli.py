@@ -98,15 +98,20 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def load_cached_payload(n: int, ell: int) -> dict | None:
+    """The cached payload for (n, ℓ), or None when the entry is missing, stale
+    or malformed (its payload must hold a `complex` dict); None means recompute."""
     path = _cache_path(n, ell)
     try:
         entry = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if entry.get("key") != {"n": n, "ell": ell, "version": ARTIFACT_VERSION}:
+    key = {"n": n, "ell": ell, "version": ARTIFACT_VERSION}
+    if not isinstance(entry, dict) or entry.get("key") != key:
         return None
     payload = entry.get("payload")
-    return payload if isinstance(payload, dict) else None
+    if not isinstance(payload, dict) or not isinstance(payload.get("complex"), dict):
+        return None
+    return payload
 
 
 def store_payload(n: int, ell: int, payload: dict) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import CapacityError, SimplicialComplex, _mask_of, _minimal_masks, _vertices_of
+from .complexes import CapacityError, SimplicialComplex, _mask_of, _vertices_of
 from .partitions import enumerate_partitions
 
 BUILD_CAP = 64
@@ -32,6 +32,10 @@ class ZsfParams:
     ell: int
 
     def __post_init__(self):
+        for name in ("n", "ell"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not 0 < self.ell < self.n:
@@ -87,45 +91,43 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     (the all-zero multiset), and it absorbs every padded support, so the rest
     are the minimal supports of partitions of a multiple of n into exactly
     `ell` parts ≤ n-1.  Those are searched support-first: a depth-first walk
-    over supports in 1..n-1, reusing the reachability layers of `is_face` and
-    pruning every branch that already contains a non-face.
+    over the faces in 1..n-1 of size < ell, reusing the reachability layers
+    of `is_face` and pruning every branch that already contains a non-face.
+    Each child costs O(ell) big-int shifts (its layers follow from the
+    parent's by one recurrence).  A non-face child has at most `ell`
+    elements, so each of its one-smaller subsets has size < ell; the child is
+    minimal exactly when all of them are visited faces, one set lookup per
+    element.
     """
     n, ell = params.n, params.ell
     full = (1 << n) - 1
     candidates: list[int] = []
-
-    def rotated(r: int, shift: int) -> int:
-        return ((r << shift) | (r >> (n - shift))) & full if shift else r
+    visited: set[int] = set()
 
     # reach[t] = residues reachable as sums of exactly t elements of the
-    # current support (repetition allowed, elements optional).
+    # current support (repetition allowed).
     def walk(support_mask: int, size: int, last: int, reach: list[int]) -> None:
+        visited.add(support_mask)
         for v in range(last + 1, n):
-            # sums that use j copies of v on top of sums avoiding v
-            top = 0
-            for j in range(ell + 1):
-                r = reach[ell - j]
-                if r:
-                    top |= rotated(r, (j * v) % n)
+            # child[t] = sums avoiding v, or one more v on a child sum of t-1
+            child_reach = [1]
+            acc = 1
+            for t in range(1, ell + 1):
+                acc = reach[t] | (((acc << v) | (acc >> (n - v))) & full)
+                child_reach.append(acc)
             child = support_mask | (1 << v)
-            if top & 1:
+            if acc & 1:
                 candidates.append(child)
-                continue
-            if size + 1 < ell:
-                child_reach = [0] * (ell + 1)
-                for t in range(ell + 1):
-                    acc = 0
-                    for j in range(t + 1):
-                        r = reach[t - j]
-                        if r:
-                            acc |= rotated(r, (j * v) % n)
-                    child_reach[t] = acc
+            elif size + 1 < ell:
                 walk(child, size + 1, v, child_reach)
 
     reach0 = [0] * (ell + 1)
     reach0[0] = 1
     walk(0, 0, 0, reach0)
-    masks = [1] + _minimal_masks(candidates)  # {0} first, then the rest
+    masks = [1] + [  # {0} first, then the rest
+        m for m in candidates
+        if all((m & ~(1 << v)) in visited for v in _vertices_of(m))
+    ]
     sets = [frozenset(_vertices_of(m)) for m in masks]
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
@@ -134,7 +136,11 @@ def _maximal_nonface_free(supported: list[int], edges: list[int]) -> list[int]:
     """Maximal subsets of `supported` containing none of the `edges`.
 
     Depth-first search in ascending vertex order; a branch is cut when
-    everything it can still reach lies inside an already-found facet.
+    everything it can still reach lies inside an already-found facet.  Only
+    facets that contain the node's mask can cut it, so each node is handed
+    just those: its parent's list filtered by the new vertex, plus the
+    facets found in earlier sibling subtrees.  A node's pruning cost is
+    O(facets containing it), not O(facets found).
     """
     edges_at: dict[int, list[int]] = {v: [] for v in supported}
     for e in edges:
@@ -146,13 +152,14 @@ def _maximal_nonface_free(supported: list[int], edges: list[int]) -> list[int]:
         mv = mask | (1 << v)
         return all(e & ~mv for e in edges_at[v])
 
-    def dfs(mask: int, cand: list[int]) -> None:
+    def dfs(mask: int, cand: list[int], containing: list[int]) -> list[int]:
+        """The facets found under `mask`; `containing` holds the found facets ⊇ mask."""
         horizon = mask
         for v in cand:
             horizon |= 1 << v
-        for f in found:
+        for f in containing:
             if horizon | f == f:
-                return
+                return []
         if not cand:
             if all((mask >> v) & 1 or not addable(mask, v) for v in supported):
                 if len(found) >= FACET_COUNT_CAP:
@@ -160,12 +167,20 @@ def _maximal_nonface_free(supported: list[int], edges: list[int]) -> list[int]:
                         f"the complex has more than {FACET_COUNT_CAP} facets"
                     )
                 found.append(mask)
-            return
+                return [mask]
+            return []
+        new: list[int] = []
         for i, v in enumerate(cand):
-            child = mask | (1 << v)
-            dfs(child, [u for u in cand[i + 1:] if addable(child, u)])
+            bit = 1 << v
+            child = mask | bit
+            new += dfs(
+                child,
+                [u for u in cand[i + 1:] if addable(child, u)],
+                [f for f in containing if f & bit] + [f for f in new if f & bit],
+            )
+        return new
 
-    dfs(0, list(supported))
+    dfs(0, list(supported), [])
     return found
 
 

@@ -164,6 +164,27 @@ def test_corrupt_and_mismatched_cache_entries_are_ignored(capsys, tmp_cache):
     assert code == 0 and json.loads(out) == reference
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"key": {"n": 12, "ell": 6, "version": "1"}, "payload": {}},
+        {"key": {"n": 12, "ell": 6, "version": "1"}, "payload": {"complex": [[1, 5, 9]]}},
+        [],
+    ],
+)
+def test_malformed_cache_entry_is_recomputed(capsys, tmp_cache, entry):
+    code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache")
+    assert code == 0
+    path = tmp_cache / "complex-n12-l6-v1.json"
+    tmp_cache.mkdir(parents=True)
+    path.write_text(json.dumps(entry))
+
+    code, out, err = run_cli(capsys, "compute", "12", "6")
+    assert code == 0, err
+    assert out == reference
+    assert isinstance(json.loads(path.read_bytes())["payload"]["complex"], dict)  # rewritten
+
+
 def test_cache_clear(capsys, tmp_cache):
     run_cli(capsys, "compute", "6", "3")
     run_cli(capsys, "compute", "9", "8")

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
 import zsumfree.zerosumfree as zsf
-from zsumfree.complexes import CapacityError
+from zsumfree.complexes import CapacityError, minimal_nonfaces_of_complex
 from zsumfree.zerosumfree import (
     ZsfParams,
     brute_force_complex,
@@ -74,6 +75,12 @@ def test_params_validation():
             ZsfParams(n, ell)
 
 
+def test_params_reject_non_int():
+    for n, ell in [(12.5, 6), (12, 6.0), ("12", 6), (12, None), (True, 1), (12, True)]:
+        with pytest.raises(ValueError, match="must be an int"):
+            ZsfParams(n, ell)
+
+
 # ---------------------------------------------------------------------------
 # NLC pipeline
 
@@ -106,6 +113,15 @@ def test_minimal_nonfaces_equal_minimalized_nlc():
             sets = enumerate_nlc(ZsfParams(n, ell))
             minimal = {s for s in sets if not any(t < s for t in sets)}
             assert set(minimal_nonfaces(ZsfParams(n, ell))) == minimal, (n, ell)
+
+
+def test_walk_matches_nonfaces_of_built_complex_at_high_ell():
+    # the high-ℓ region of the cold benchmark workload, n ≤ 24
+    for n in range(20, 25):
+        for ell in ((n + 1) // 2 + 1, n - 2):
+            p = ZsfParams(n, ell)
+            expected = set(minimal_nonfaces_of_complex(build_complex(p)))
+            assert set(minimal_nonfaces(p)) == expected, (n, ell)
 
 
 def test_minimal_nonfaces_are_nonfaces_with_face_proper_subsets():
@@ -147,6 +163,27 @@ def test_oracle_equivalence_small_sweep():
             assert set(build_complex(p).facets) == set(brute_force_complex(p).facets), (n, ell)
 
 
+def test_oracle_equivalence_n17_n18():
+    for n in (17, 18):
+        for ell in sorted({2, (n + 1) // 2, n - 1}):
+            p = ZsfParams(n, ell)
+            assert set(build_complex(p).facets) == set(brute_force_complex(p).facets), (n, ell)
+
+
+def test_units_of_zn_map_the_complex_onto_itself():
+    # u·s ≡ 0 iff s ≡ 0 for a unit u, so x -> u·x permutes faces and non-faces
+    for n in range(2, 25):
+        for ell in sorted({2, (n + 1) // 2, (n + 1) // 2 + 1, n - 1} & set(range(1, n))):
+            p = ZsfParams(n, ell)
+            mnf = set(minimal_nonfaces(p))
+            facets = set(build_complex(p).facets)
+            for u in range(2, n):
+                if math.gcd(u, n) != 1:
+                    continue
+                assert {frozenset(u * x % n for x in s) for s in mnf} == mnf, (n, ell, u)
+                assert {frozenset(u * x % n for x in f) for f in facets} == facets, (n, ell, u)
+
+
 def test_facets_are_downward_closed_and_maximal():
     for n, ell in [(6, 3), (9, 8), (12, 6), (12, 9), (11, 5), (14, 13), (10, 7)]:
         p = ZsfParams(n, ell)
@@ -184,3 +221,8 @@ def test_facet_count_cap(monkeypatch):
         build_complex(ZsfParams(9, 8))  # has four facets
     monkeypatch.setattr(zsf, "FACET_COUNT_CAP", 4)
     assert len(build_complex(ZsfParams(9, 8)).facets) == 4
+    monkeypatch.setattr(zsf, "FACET_COUNT_CAP", 1023)
+    with pytest.raises(CapacityError, match="more than 1023 facets"):
+        build_complex(ZsfParams(22, 2))  # has 1024 facets
+    monkeypatch.setattr(zsf, "FACET_COUNT_CAP", 1024)
+    assert len(build_complex(ZsfParams(22, 2)).facets) == 1024
