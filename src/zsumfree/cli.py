@@ -52,6 +52,8 @@ from .zerosumfree import (
 )
 
 ARTIFACT_VERSION = "1"
+# the keys `_complex_payload` writes; a cached complex with any other set is a miss
+COMPLEX_KEYS = {"facets", "min_nonfaces", "f_vector", "h_vector", "pure", "connected", "decomposition"}
 TABLE_N_MAX_CAP = 24
 
 EXIT_OK = 0
@@ -99,7 +101,9 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def load_cached_payload(n: int, ell: int) -> dict | None:
     """The cached payload for (n, ℓ), or None when the entry is missing, stale
-    or malformed (its payload must hold a `complex` dict); None means recompute."""
+    or malformed; None means recompute.  Only the shape is checked: `complex`
+    must hold exactly the keys `_complex_payload` writes, with `facets` a list
+    of lists, and a `poset`, if present, must be a dict with `char_poly`."""
     path = _cache_path(n, ell)
     try:
         entry = json.loads(path.read_text())
@@ -109,7 +113,16 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
     if not isinstance(entry, dict) or entry.get("key") != key:
         return None
     payload = entry.get("payload")
-    if not isinstance(payload, dict) or not isinstance(payload.get("complex"), dict):
+    if not isinstance(payload, dict):
+        return None
+    complex_ = payload.get("complex")
+    if not isinstance(complex_, dict) or complex_.keys() != COMPLEX_KEYS:
+        return None
+    facets = complex_["facets"]
+    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+        return None
+    poset = payload.get("poset", {"char_poly": None})
+    if not isinstance(poset, dict) or "char_poly" not in poset:
         return None
     return payload
 

@@ -185,6 +185,32 @@ def test_malformed_cache_entry_is_recomputed(capsys, tmp_cache, entry):
     assert isinstance(json.loads(path.read_bytes())["payload"]["complex"], dict)  # rewritten
 
 
+@pytest.mark.parametrize(
+    "damage, flags",
+    [
+        ({"complex": {}}, []),
+        ({"complex": {}}, ["--oracle"]),
+        ({"poset": []}, ["--arrangement"]),
+    ],
+    ids=["empty-complex", "empty-complex-oracle", "list-poset"],
+)
+def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):
+    code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache", *flags)
+    assert code == 0
+    run_cli(capsys, "compute", "12", "6")
+    path = tmp_cache / "complex-n12-l6-v1.json"
+    entry = json.loads(path.read_bytes())
+    entry["payload"].update(damage)
+    path.write_text(json.dumps(entry))
+
+    code, out, err = run_cli(capsys, "compute", "12", "6", *flags)
+    assert code == 0, err
+    assert out == reference
+    payload = json.loads(path.read_bytes())["payload"]  # rewritten
+    assert set(payload["complex"]) == cli.COMPLEX_KEYS
+    assert not isinstance(payload.get("poset"), list)
+
+
 def test_cache_clear(capsys, tmp_cache):
     run_cli(capsys, "compute", "6", "3")
     run_cli(capsys, "compute", "9", "8")

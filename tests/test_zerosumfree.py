@@ -163,11 +163,25 @@ def test_oracle_equivalence_small_sweep():
             assert set(build_complex(p).facets) == set(brute_force_complex(p).facets), (n, ell)
 
 
-def test_oracle_equivalence_n17_n18():
-    for n in (17, 18):
-        for ell in sorted({2, (n + 1) // 2, n - 1}):
+def test_oracle_equivalence_n13_to_n22():
+    for n in range(13, 23):
+        for ell in range(1, n):
             p = ZsfParams(n, ell)
             assert set(build_complex(p).facets) == set(brute_force_complex(p).facets), (n, ell)
+
+
+def test_oracle_matches_its_definition():
+    # plain 2^n enumeration: the maximal subsets of range(n) that pass is_face
+    for n in range(2, 13):
+        for ell in range(1, n):
+            p = ZsfParams(n, ell)
+            faces = {m for m in range(1 << n) if is_face(p, [v for v in range(n) if m >> v & 1])}
+            maximal = {
+                frozenset(v for v in range(n) if m >> v & 1)
+                for m in faces
+                if all(m | 1 << v not in faces for v in range(n) if not m >> v & 1)
+            }
+            assert set(brute_force_complex(p).facets) == maximal, (n, ell)
 
 
 def test_units_of_zn_map_the_complex_onto_itself():
