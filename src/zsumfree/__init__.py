@@ -11,10 +11,7 @@ from .arrangements import (
     POSET_ELEMENT_CAP,
     IntersectionPoset,
     build_poset,
-    characteristic_polynomial,
     disjoint_union_char_poly,
-    mobius_function,
-    rank_and_gradedness,
     verify_disjoint_union_char_poly,
 )
 from .complexes import (
@@ -90,7 +87,6 @@ __all__ = [
     "brute_force_complex",
     "build_complex",
     "build_poset",
-    "characteristic_polynomial",
     "check_partition",
     "closed_form_char_poly",
     "conjugate",
@@ -113,9 +109,7 @@ __all__ = [
     "isolated_vertices",
     "minimal_nonfaces",
     "minimal_nonfaces_of_complex",
-    "mobius_function",
     "prime_power_facets",
-    "rank_and_gradedness",
     "scan_connectivity",
     "scan_hvector_purity",
     "scan_log_concavity",

@@ -148,21 +148,6 @@ def build_poset(c: SimplicialComplex) -> IntersectionPoset:
     return IntersectionPoset(c)
 
 
-def mobius_function(poset: IntersectionPoset) -> list[int]:
-    """Möbius values μ(0̂, t) indexed like the poset elements."""
-    return list(poset.mobius)
-
-
-def characteristic_polynomial(poset: IntersectionPoset) -> list[int]:
-    """Coefficients of χ(x), ascending degree, length (number of supported vertices) + 1."""
-    return list(poset.char_poly)
-
-
-def rank_and_gradedness(poset: IntersectionPoset) -> tuple[bool, int | None]:
-    """(graded, rank): rank is the common maximal-chain length when graded, else None."""
-    return poset.graded, poset.rank
-
-
 def disjoint_union_char_poly(n_vertices: int, parts) -> list[int]:
     """Closed form x^|V| - Σ_i x^{λ_i} + (α - 1) for a disjoint union of simplices."""
     parts = tuple(parts)

@@ -18,7 +18,10 @@ Exit codes: 0 ok, 2 invalid parameters, 3 oracle or family mismatch,
 
 Artifacts are cached under $ZSF_CACHE_DIR (default ~/.cache/zsumfree), keyed
 by (n, ℓ, artifact version); cached payloads are byte-stable and carry no
-timestamps.  Bumping the artifact version invalidates old entries.
+timestamps.  Bumping the artifact version invalidates old entries.  A cache
+that cannot be read or written never fails a command: an unreadable entry is
+a miss, and a failed write prints a one-line warning to stderr and leaves
+stdout and the exit code as with --no-cache.
 """
 
 from __future__ import annotations
@@ -171,7 +174,16 @@ def cmd_compute(args) -> int:
         payload["poset"] = build_poset(c).to_json()
         dirty = True
     if use_cache and dirty:
-        store_payload(params.n, params.ell, payload)
+        try:
+            store_payload(params.n, params.ell, payload)
+        except OSError as exc:
+            print(f"warning: cache entry not written: {exc}", file=sys.stderr)
+
+    # the oracle runs before anything is printed, so a capacity error leaves stdout empty
+    agrees = True
+    if args.oracle:
+        oracle_facets = {tuple(sorted(f)) for f in brute_force_complex(params).facets}
+        agrees = oracle_facets == {tuple(f) for f in payload["complex"]["facets"]}
 
     out = {"n": params.n, "ell": params.ell}
     out.update(payload["complex"])
@@ -180,12 +192,9 @@ def cmd_compute(args) -> int:
         out["char_poly"] = payload["poset"]["char_poly"]
     print(_dump(out))
 
-    if args.oracle:
-        oracle_facets = {tuple(sorted(f)) for f in brute_force_complex(params).facets}
-        mine = {tuple(f) for f in payload["complex"]["facets"]}
-        if oracle_facets != mine:
-            print(f"oracle mismatch for n={params.n} ell={params.ell}", file=sys.stderr)
-            return EXIT_MISMATCH
+    if not agrees:
+        print(f"oracle mismatch for n={params.n} ell={params.ell}", file=sys.stderr)
+        return EXIT_MISMATCH
     return EXIT_OK
 
 

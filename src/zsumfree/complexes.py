@@ -8,7 +8,7 @@ single facet ``frozenset()``.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import zip_longest
 
 from .partitions import binomial, check_partition, conjugate
 
@@ -120,96 +120,37 @@ class SimplicialComplex:
 # ---------------------------------------------------------------------------
 # face counting
 
-_ENUMERATION_WORK_CAP = 1 << 20
-
-
-def _f_by_enumeration(c: SimplicialComplex) -> list[int]:
-    """f-vector by materializing every face (subsets of facets, deduplicated)."""
-    faces: set[int] = set()
-    for m in c._facet_masks:
-        sub = m
-        while True:
-            faces.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-    counts = [0] * (c.dim() + 2)
-    for face in faces:
-        counts[face.bit_count()] += 1
-    return counts
-
-
-def _f_by_inclusion_exclusion(c: SimplicialComplex) -> list[int]:
-    """f-vector by inclusion-exclusion over nonempty sets of facets.
-
-    The faces are the union of the facet power sets, and a k-subset count of
-    an intersection of facets is a binomial coefficient.
-    """
-    masks = c._facet_masks
-    if len(masks) > 20:
-        raise CapacityError("too many facets for inclusion-exclusion face counting")
-    sizes: dict[int, int] = {}
-    for picks in range(1, 1 << len(masks)):
-        inter = (1 << 64) - 1
-        p = picks
-        i = 0
-        while p:
-            if p & 1:
-                inter &= masks[i]
-            p >>= 1
-            i += 1
-        sign = -1 if picks.bit_count() % 2 == 0 else 1
-        sizes[inter.bit_count()] = sizes.get(inter.bit_count(), 0) + sign
-    counts = [0] * (c.dim() + 2)
-    for size, weight in sizes.items():
-        for k in range(min(size, c.dim() + 1) + 1):
-            counts[k] += weight * binomial(size, k)
-    return counts
-
-
-_SUBSET_DP_VERTEX_CAP = 24
-
-
-def _f_by_subset_dp(c: SimplicialComplex) -> list[int]:
-    """f-vector by marking every subset of the supported vertices as a face or not.
-
-    Facets are re-indexed into a compact vertex space; one bitwise-or sweep per
-    vertex then propagates face-ness downward through the 2^|V| indicator table.
-    """
-    verts = sorted(c.supported_vertices())
-    if len(verts) > _SUBSET_DP_VERTEX_CAP:
-        raise CapacityError("too many supported vertices for the subset table")
-    index = {v: i for i, v in enumerate(verts)}
-    face = np.zeros(1 << len(verts), dtype=bool)
-    for facet in c.facets:
-        compact = 0
-        for v in facet:
-            compact |= 1 << index[v]
-        face[compact] = True
-    for i in range(len(verts)):
-        paired = face.reshape(-1, 2, 1 << i)
-        paired[:, 0, :] |= paired[:, 1, :]
-    popcount = np.zeros(1, dtype=np.uint8)
-    for _ in range(len(verts)):
-        popcount = np.concatenate([popcount, popcount + 1])
-    counts = np.bincount(popcount[face], minlength=c.dim() + 2)
-    return [int(x) for x in counts]
-
-
 def faces_by_dimension(c: SimplicialComplex) -> list[int]:
     """f-vector [f_{-1}, f_0, ..., f_d] with f_{-1} = 1 for the empty face.
 
-    Counts distinct subsets of the facets.  Small complexes are enumerated
-    directly; past the enumeration budget a full subset table over the
-    supported vertices is used when those number at most 24, and otherwise
-    inclusion-exclusion over the facet list (same counts, no materialization).
+    Splits on a vertex v: f(Δ) = f(Δ∖v) + x·f(lk v), where lk v has the
+    facets F∖v of the facets F ∋ v, and Δ∖v has the facets without v plus
+    the link facets lying in none of them.  A simplex on s vertices ends the
+    recursion with the binomials C(s, k); a sub-complex that the recursion
+    meets more than once is counted once.
     """
-    work = sum(1 << len(f) for f in c.facets)
-    if work <= _ENUMERATION_WORK_CAP:
-        return _f_by_enumeration(c)
-    if len(c.supported_vertices()) <= _SUBSET_DP_VERTEX_CAP:
-        return _f_by_subset_dp(c)
-    return _f_by_inclusion_exclusion(c)
+    memo: dict[frozenset, list[int]] = {}
+
+    def count(facets: list[int]) -> list[int]:
+        key = frozenset(facets)
+        if key in memo:
+            return memo[key]
+        if len(facets) == 1:
+            s = facets[0].bit_count()
+            out = [binomial(s, k) for k in range(s + 1)]
+        else:
+            union = 0
+            for f in facets:
+                union |= f
+            bit = union & -union
+            link = [f ^ bit for f in facets if f & bit]
+            rest = [f for f in facets if not f & bit]
+            deletion = count(rest + [g for g in link if not any(g & r == g for r in rest)])
+            out = [a + b for a, b in zip_longest(deletion, [0] + count(link), fillvalue=0)]
+        memo[key] = out
+        return out
+
+    return count(list(c._facet_masks))
 
 
 def f_to_h(f: list[int]) -> list[int]:

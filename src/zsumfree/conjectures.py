@@ -32,22 +32,12 @@ from .complexes import (
     is_pure,
     isolated_vertices,
 )
+from .families import is_prime
 from .partitions import enumerate_partitions
 from .zerosumfree import ZsfParams, build_complex
 
 P_MAX_CAP = 12
 N_MAX_CAP = 24
-
-
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass
@@ -79,7 +69,7 @@ def isolated_instances(p_max: int) -> list[tuple[int, int]]:
     """All (p, ℓ) with p ≤ p_max prime and ℓ even, (p-1)/2 ≤ ℓ < p."""
     out = []
     for p in range(2, p_max + 1):
-        if not _is_prime(p):
+        if not is_prime(p):
             continue
         lo = -(-(p - 1) // 2)
         out.extend((p, ell) for ell in range(lo, p) if ell % 2 == 0 and ell > 0)
@@ -112,7 +102,7 @@ def scan_purity_prime(n_max: int) -> ScanReport:
     counterexamples = []
     instances = list(range(3, n_max + 1, 2))
     for n in instances:
-        prime = _is_prime(n)
+        prime = is_prime(n)
         for ell in ((n - 1) // 2, (n + 1) // 2):
             pure = is_pure(build_complex(ZsfParams(n, ell)))
             if pure != prime:

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import conftest
 from zsumfree.arrangements import (
     build_poset,
-    rank_and_gradedness,
     verify_disjoint_union_char_poly,
 )
 from zsumfree.cli import main
@@ -147,18 +146,18 @@ def test_criterion_5_gradedness_and_rank():
         )
         for spec in rank2:
             poset = build_poset(build_complex(ZsfParams(spec.n, spec.ell)))
-            assert rank_and_gradedness(poset) == (True, 2), spec
+            assert (poset.graded, poset.rank) == (True, 2), spec
         for p in (5, 7, 11):
             for s in (1, 3):
                 spec = FamilySpec.arms_legs(p, s)
                 poset = build_poset(build_complex(ZsfParams(spec.n, spec.ell)))
-                assert rank_and_gradedness(poset) == (True, 3), spec
+                assert (poset.graded, poset.rank) == (True, 3), spec
         # single-facet instances are degenerate: rank 1, not 2
         for rho, m in DOUBLING:
             if m == 0:
                 spec = FamilySpec.doubling(rho, m)
                 poset = build_poset(build_complex(ZsfParams(spec.n, spec.ell)))
-                assert rank_and_gradedness(poset) == (True, 1), spec
+                assert (poset.graded, poset.rank) == (True, 1), spec
 
 
 def explicit_disjoint_union(parts) -> SimplicialComplex:

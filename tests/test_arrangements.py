@@ -9,10 +9,7 @@ from conftest import corpus_complexes
 from zsumfree.arrangements import (
     IntersectionPoset,
     build_poset,
-    characteristic_polynomial,
     disjoint_union_char_poly,
-    mobius_function,
-    rank_and_gradedness,
     verify_disjoint_union_char_poly,
 )
 from zsumfree.complexes import CapacityError, SimplicialComplex, decompose_disjoint_simplices
@@ -93,22 +90,16 @@ def test_atoms_are_facet_supports():
 
 
 def test_char_poly_examples():
-    assert characteristic_polynomial(build_poset(build_complex(ZsfParams(12, 6)))) == [
+    assert build_poset(build_complex(ZsfParams(12, 6))).char_poly == [
         1, 0, 0, -2, 0, 0, 1,
     ]
-    assert characteristic_polynomial(build_poset(build_complex(ZsfParams(6, 3)))) == [
+    assert build_poset(build_complex(ZsfParams(6, 3))).char_poly == [
         0, 0, 0, 0,
     ]
     # six disjoint arm edges: Möbius forces x^12 - 6x^2 + 5
-    assert characteristic_polynomial(build_poset(build_complex(ZsfParams(14, 12)))) == [
+    assert build_poset(build_complex(ZsfParams(14, 12))).char_poly == [
         5, 0, -6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1,
     ]
-
-
-def test_mobius_function_wrapper():
-    p = build_poset(build_complex(ZsfParams(12, 6)))
-    values = mobius_function(p)
-    assert values == p.mobius
 
 
 def test_disjoint_union_formula_on_disjoint_corpus():
@@ -157,13 +148,16 @@ def test_equal_size_parts_closed_form():
 
 
 def test_rank_examples():
-    assert rank_and_gradedness(build_poset(build_complex(ZsfParams(12, 6)))) == (True, 2)
-    assert rank_and_gradedness(build_poset(build_complex(ZsfParams(10, 9)))) == (True, 3)
+    p = build_poset(build_complex(ZsfParams(12, 6)))
+    assert (p.graded, p.rank) == (True, 2)
+    p = build_poset(build_complex(ZsfParams(10, 9)))
+    assert (p.graded, p.rank) == (True, 3)
 
 
 def test_non_graded_fixture():
     c = SimplicialComplex(range(1, 7), [fs(1, 2, 3), fs(3, 4), fs(5, 6)])
-    assert rank_and_gradedness(build_poset(c)) == (False, None)
+    p = build_poset(c)
+    assert (p.graded, p.rank) == (False, None)
 
 
 def test_disjoint_union_posets_have_rank_two():
@@ -171,7 +165,8 @@ def test_disjoint_union_posets_have_rank_two():
         parts = decompose_disjoint_simplices(c)
         if parts is None or len(parts) < 2:
             continue
-        assert rank_and_gradedness(build_poset(c)) == (True, 2), c.facets
+        p = build_poset(c)
+        assert (p.graded, p.rank) == (True, 2), c.facets
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,10 @@ def test_compute_invalid_parameters(capsys):
 
 
 def test_compute_capacity_exits(capsys, monkeypatch):
-    # brute-force oracle beyond its n ≤ 24 range
-    code, _, err = run_cli(capsys, "compute", "25", "24", "--oracle")
+    # brute-force oracle beyond its n ≤ 24 range: no artifact is printed
+    code, out, err = run_cli(capsys, "compute", "25", "24", "--oracle")
     assert code == 4 and "capacity exceeded" in err
+    assert out == ""
     # intersection closure beyond the poset element cap
     monkeypatch.setattr(arr, "POSET_ELEMENT_CAP", 2)
     code, _, err = run_cli(capsys, "compute", "9", "8", "--arrangement")
@@ -209,6 +210,17 @@ def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):
     payload = json.loads(path.read_bytes())["payload"]  # rewritten
     assert set(payload["complex"]) == cli.COMPLEX_KEYS
     assert not isinstance(payload.get("poset"), list)
+
+
+def test_unwritable_cache_warns_and_computes(capsys, tmp_cache):
+    code, reference, _ = run_cli(capsys, "compute", "8", "3", "--no-cache")
+    assert code == 0
+    tmp_cache.write_text("a regular file, not a directory")
+
+    code, out, err = run_cli(capsys, "compute", "8", "3")
+    assert code == 0
+    assert out == reference
+    assert err.startswith("warning: cache entry not written") and err.count("\n") == 1
 
 
 def test_cache_clear(capsys, tmp_cache):

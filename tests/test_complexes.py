@@ -7,9 +7,6 @@ import itertools
 from conftest import corpus_complexes, hand_fixtures
 from zsumfree.complexes import (
     SimplicialComplex,
-    _f_by_enumeration,
-    _f_by_inclusion_exclusion,
-    _f_by_subset_dp,
     alexander_dual,
     decompose_disjoint_simplices,
     f_to_h,
@@ -22,7 +19,7 @@ from zsumfree.complexes import (
     minimal_nonfaces_of_complex,
 )
 from zsumfree.partitions import binomial, enumerate_partitions
-from zsumfree.zerosumfree import ZsfParams, build_complex
+from zsumfree.zerosumfree import ZsfParams, build_complex, is_face
 
 
 def fs(*xs):
@@ -82,20 +79,42 @@ def test_json_round_trip_and_stability():
 # f- and h-vectors
 
 
+CONE = SimplicialComplex(range(6), [fs(0, 1, 2), fs(0, 3), fs(0, 4, 5)])  # every facet holds 0
+
+
+def count_by_size(faces) -> list[int]:
+    counts = [0] * (max(len(s) for s in faces) + 1)
+    for s in faces:
+        counts[len(s)] += 1
+    return counts
+
+
 def test_faces_by_dimension_examples():
     assert faces_by_dimension(SimplicialComplex([1, 3, 5], [fs(1, 3, 5)])) == [1, 3, 3, 1]
     two = SimplicialComplex(range(12), [fs(1, 5, 9), fs(3, 7, 11)])
     assert faces_by_dimension(two) == [1, 6, 6, 2]
     assert faces_by_dimension(SimplicialComplex([0], [fs()])) == [1]
+    assert faces_by_dimension(CONE) == [1, 6, 7, 2]
 
 
-def test_face_count_strategies_agree():
-    for c in corpus_complexes():
-        reference = _f_by_enumeration(c)
-        assert faces_by_dimension(c) == reference
-        assert _f_by_subset_dp(c) == reference
-        if len(c.facets) <= 20:
-            assert _f_by_inclusion_exclusion(c) == reference
+def test_f_vector_matches_brute_faces():
+    void = SimplicialComplex(range(5), [fs()])
+    for c in [*corpus_complexes(), CONE, void]:
+        assert faces_by_dimension(c) == count_by_size(brute_faces(c)), c.facets
+
+
+def test_f_vector_matches_face_test():
+    # f-vector of the built complex against every subset of 1..n-1 passing is_face
+    for n in range(2, 14):
+        for ell in range(1, n):
+            p = ZsfParams(n, ell)
+            faces = [
+                combo
+                for r in range(n)
+                for combo in itertools.combinations(range(1, n), r)
+                if is_face(p, combo)
+            ]
+            assert faces_by_dimension(build_complex(p)) == count_by_size(faces), (n, ell)
 
 
 def test_f0_counts_supported_vertices():

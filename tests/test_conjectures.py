@@ -124,7 +124,7 @@ def test_scan_log_concavity_repeated_parts():
 
 
 def test_counterexample_recording_purity(monkeypatch):
-    monkeypatch.setattr(conj, "_is_prime", lambda x: True)
+    monkeypatch.setattr(conj, "is_prime", lambda x: True)
     rep = scan_purity_prime(9)
     assert rep.status == "counterexample-found"
     assert {"params": {"n": 9, "ell": 4}, "witness": {"pure": False, "prime": True}} in rep.counterexamples
