@@ -162,6 +162,9 @@ def _complex_payload(params: ZsfParams) -> dict:
 def cmd_compute(args) -> int:
     params = ZsfParams(args.n, args.ell)
     use_cache = not args.no_cache
+    # n alone decides the oracle's cap, so refuse before any cache or build work
+    if args.oracle and params.n > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute_force_complex supports n ≤ {BRUTE_FORCE_CAP}, got {params.n}")
 
     payload = load_cached_payload(params.n, params.ell) if use_cache else None
     dirty = False

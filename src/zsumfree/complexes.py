@@ -44,15 +44,6 @@ def _minimal_masks(masks) -> list[int]:
     return kept
 
 
-def _maximal_masks(masks) -> list[int]:
-    """Inclusion-maximal elements of a collection of bit masks."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=lambda x: (-x.bit_count(), x)):
-        if not any(k & m == m for k in kept):
-            kept.append(m)
-    return kept
-
-
 class SimplicialComplex:
     """A finite simplicial complex, given by ground set and facets."""
 
@@ -69,21 +60,22 @@ class SimplicialComplex:
         masks = [_mask_of(f) for f in facets]
         if len(set(masks)) != len(masks):
             raise ValueError("facets must be distinct")
-        for i, a in enumerate(masks):
-            for b in masks[i + 1:]:
-                if a & b == a or a & b == b:
-                    raise ValueError("facets must be pairwise inclusion-incomparable")
+        # holders[v] has bit i set when facet i contains v; facet i lies in
+        # another facet exactly when the facets holding all its vertices
+        # are more than i alone
+        holders = [0] * 64
+        for i, f in enumerate(facets):
+            for v in f:
+                holders[v] |= 1 << i
+        everyone = (1 << len(facets)) - 1
+        for i, f in enumerate(facets):
+            common = everyone
+            for v in f:
+                common &= holders[v]
+            if common != 1 << i:
+                raise ValueError("facets must be pairwise inclusion-incomparable")
         self.facets = tuple(sorted(facets, key=lambda f: tuple(sorted(f))))
         self._facet_masks = tuple(_mask_of(f) for f in self.facets)
-
-    @classmethod
-    def from_facet_candidates(cls, ground, candidates) -> "SimplicialComplex":
-        """Build the complex generated by `candidates`, keeping only maximal sets."""
-        cand = [frozenset(int(v) for v in s) for s in candidates]
-        if not cand:
-            raise ValueError("need at least one candidate face")
-        maximal = _maximal_masks(_mask_of(s) for s in cand)
-        return cls(ground, [frozenset(_vertices_of(m)) for m in maximal])
 
     def dim(self) -> int:
         """Dimension: largest facet size minus one (-1 for the void complex)."""
@@ -104,17 +96,6 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         facets = ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets)
         return f"SimplicialComplex(ground=0..{max(self.ground, default=-1)}, facets=[{facets}])"
-
-    def to_json(self) -> dict:
-        """JSON-ready dict: sorted ground list and lexicographically sorted facet lists."""
-        return {
-            "ground": sorted(self.ground),
-            "facets": sorted(sorted(f) for f in self.facets),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SimplicialComplex":
-        return cls(data["ground"], [frozenset(f) for f in data["facets"]])
 
 
 # ---------------------------------------------------------------------------

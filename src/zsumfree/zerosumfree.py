@@ -16,6 +16,7 @@ constructions are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .complexes import CapacityError, SimplicialComplex, _mask_of, _vertices_of
 from .partitions import enumerate_partitions
@@ -95,40 +96,63 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     over the faces in 1..n-1 of size < ell, reusing the reachability layers
     of `is_face` and pruning every branch that already contains a non-face.
     Each child costs O(ell) big-int shifts (its layers follow from the
-    parent's by one recurrence).  A non-face child has at most `ell`
-    elements, so each of its one-smaller subsets has size < ell; the child is
-    minimal exactly when all of them are visited faces, one set lookup per
-    element.
+    parent's by one recurrence).
+
+    Multiplying by a unit u of Z/n permutes the faces and the non-faces, so
+    the walk is an orderly generation (Read 1978) over the (Z/n)^× orbits:
+    it visits only canonical sets, those whose bit mask is the largest in
+    their orbit.  A child adds a vertex below the node's minimum, and each
+    node carries its images u·S as masks, so a child's image costs one OR;
+    a child with an image larger than itself is skipped.  This reaches every
+    canonical set, because deleting the minimum m of a canonical S leaves a
+    canonical S' = S∖{m}.  Suppose u·S' > S', with p the top bit where they
+    differ.  Then p > m: otherwise u·S' would hold all of S' and p besides,
+    one element too many.  If u·m > p, then u·S and S agree above u·m and
+    only u·S holds u·m; if u·m < p, they agree above p and only u·S holds p.
+    Either way u·S > S, so S is not canonical.
+
+    Every node and its images are recorded, so the visited set is every face
+    of size < ell.  A non-face child has at most `ell` elements, so each of
+    its one-smaller subsets has size < ell; the child is minimal exactly when
+    all of them were visited, one set lookup per element.  The orbits of the
+    minimal canonical children are the minimal non-faces besides {0}.
     """
     n, ell = params.n, params.ell
     full = (1 << n) - 1
-    candidates: list[int] = []
+    # rows[i][v] is the bit of u·v for the i-th unit u ≠ 1
+    rows = [[1 << (u * v % n) for v in range(n)] for u in range(2, n) if gcd(u, n) == 1]
+    candidates: list[tuple[int, list[int]]] = []
     visited: set[int] = set()
 
     # reach[t] = residues reachable as sums of exactly t elements of the
     # current support (repetition allowed).
-    def walk(support_mask: int, size: int, last: int, reach: list[int]) -> None:
+    def walk(support_mask: int, images: list[int], size: int, low: int, reach: list[int]) -> None:
         visited.add(support_mask)
-        for v in range(last + 1, n):
+        visited.update(images)
+        for v in range(low - 1, 0, -1):
+            child = support_mask | (1 << v)
+            child_images = [image | row[v] for image, row in zip(images, rows)]
+            if max(child_images, default=0) > child:
+                continue
             # child[t] = sums avoiding v, or one more v on a child sum of t-1
             child_reach = [1]
             acc = 1
             for t in range(1, ell + 1):
                 acc = reach[t] | (((acc << v) | (acc >> (n - v))) & full)
                 child_reach.append(acc)
-            child = support_mask | (1 << v)
             if acc & 1:
-                candidates.append(child)
+                candidates.append((child, child_images))
             elif size + 1 < ell:
-                walk(child, size + 1, v, child_reach)
+                walk(child, child_images, size + 1, v, child_reach)
 
     reach0 = [0] * (ell + 1)
     reach0[0] = 1
-    walk(0, 0, 0, reach0)
-    masks = [1] + [  # {0} first, then the rest
-        m for m in candidates
-        if all((m & ~(1 << v)) in visited for v in _vertices_of(m))
-    ]
+    walk(0, [0] * len(rows), 0, n, reach0)
+    masks = {1}  # {0}, then the orbits of the minimal canonical candidates
+    for m, images in candidates:
+        if all((m & ~(1 << v)) in visited for v in _vertices_of(m)):
+            masks.add(m)
+            masks.update(images)
     sets = [frozenset(_vertices_of(m)) for m in masks]
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
@@ -142,27 +166,30 @@ def _maximal_nonface_free(supported: list[int], edges: list[int]) -> list[int]:
     just those: its parent's list filtered by the new vertex, plus the
     facets found in earlier sibling subtrees.  A node's pruning cost is
     O(facets containing it), not O(facets found).
+
+    Each node also carries `blocked`, the vertices u outside its mask with
+    an edge e ∋ u whose other vertices e∖{u} all lie in the mask: exactly
+    the vertices that cannot join it.  Adding v can block only through the
+    edges at v, so the child's mask follows from the parent's by one pass
+    over them.  The candidates, the unblocked vertices above the last one
+    added, travel as a mask as well.  A leaf is maximal when every supported
+    vertex it lacks is blocked.
     """
     edges_at: dict[int, list[int]] = {v: [] for v in supported}
     for e in edges:
         for v in _vertices_of(e):
             edges_at[v].append(e)
+    support = _mask_of(supported)
     found: list[int] = []
 
-    def addable(mask: int, v: int) -> bool:
-        mv = mask | (1 << v)
-        return all(e & ~mv for e in edges_at[v])
-
-    def dfs(mask: int, cand: list[int], containing: list[int]) -> list[int]:
+    def dfs(mask: int, blocked: int, cand: int, containing: list[int]) -> list[int]:
         """The facets found under `mask`; `containing` holds the found facets ⊇ mask."""
-        horizon = mask
-        for v in cand:
-            horizon |= 1 << v
+        horizon = mask | cand
         for f in containing:
             if horizon | f == f:
                 return []
         if not cand:
-            if all((mask >> v) & 1 or not addable(mask, v) for v in supported):
+            if not support & ~mask & ~blocked:
                 if len(found) >= FACET_COUNT_CAP:
                     raise CapacityError(
                         f"the complex has more than {FACET_COUNT_CAP} facets"
@@ -171,17 +198,25 @@ def _maximal_nonface_free(supported: list[int], edges: list[int]) -> list[int]:
                 return [mask]
             return []
         new: list[int] = []
-        for i, v in enumerate(cand):
-            bit = 1 << v
+        rest = cand
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
             child = mask | bit
+            child_blocked = blocked
+            for e in edges_at[bit.bit_length() - 1]:
+                left = e & ~child
+                if not left & (left - 1):  # child holds all of e but one vertex
+                    child_blocked |= left
             new += dfs(
                 child,
-                [u for u in cand[i + 1:] if addable(child, u)],
+                child_blocked,
+                rest & ~child_blocked,
                 [f for f in containing if f & bit] + [f for f in new if f & bit],
             )
         return new
 
-    dfs(0, list(supported), [])
+    dfs(0, 0, support, [])
     return found
 
 

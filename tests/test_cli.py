@@ -81,11 +81,18 @@ def test_compute_invalid_parameters(capsys):
         assert "invalid parameters" in err
 
 
-def test_compute_capacity_exits(capsys, monkeypatch):
-    # brute-force oracle beyond its n ≤ 24 range: no artifact is printed
-    code, out, err = run_cli(capsys, "compute", "25", "24", "--oracle")
+def test_compute_capacity_exits(capsys, monkeypatch, tmp_cache):
+    # brute-force oracle beyond its n ≤ 24 range: refused before any build,
+    # so no artifact is printed and no cache entry is written
+    def no_build(params):
+        raise AssertionError("built a complex the oracle cannot check")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_complex", no_build)
+        code, out, err = run_cli(capsys, "compute", "25", "24", "--oracle")
     assert code == 4 and "capacity exceeded" in err
     assert out == ""
+    assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
     # intersection closure beyond the poset element cap
     monkeypatch.setattr(arr, "POSET_ELEMENT_CAP", 2)
     code, _, err = run_cli(capsys, "compute", "9", "8", "--arrangement")

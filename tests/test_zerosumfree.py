@@ -124,6 +124,15 @@ def test_walk_matches_nonfaces_of_built_complex_at_high_ell():
             assert set(minimal_nonfaces(p)) == expected, (n, ell)
 
 
+def test_walk_matches_nonfaces_of_oracle_complex():
+    # the oracle's facets dualized: no partition walk on this side
+    for n in range(13, 21):
+        for ell in range(1, n):
+            p = ZsfParams(n, ell)
+            expected = set(minimal_nonfaces_of_complex(brute_force_complex(p)))
+            assert set(minimal_nonfaces(p)) == expected, (n, ell)
+
+
 def test_minimal_nonfaces_are_nonfaces_with_face_proper_subsets():
     for n in range(2, 13):
         for ell in range(1, n):
