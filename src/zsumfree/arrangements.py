@@ -39,15 +39,16 @@ class IntersectionPoset:
         ambient_mask = 0
         for m in facet_masks:
             ambient_mask |= m
+        # closure under intersection, round by round; a new intersection
+        # needs an operand that is new in the previous round
         supports = set(facet_masks)
-        while True:
+        fresh = supports
+        while fresh:
             if len(supports) > POSET_ELEMENT_CAP:
                 raise CapacityError(
                     f"intersection closure exceeds {POSET_ELEMENT_CAP} subspaces"
                 )
-            fresh = {a & b for a in supports for b in supports} - supports
-            if not fresh:
-                break
+            fresh = {a & b for a in fresh for b in supports} - supports
             supports |= fresh
         ordered = sorted(supports, key=lambda m: (-m.bit_count(), _vertices_of(m)))
 
@@ -58,23 +59,25 @@ class IntersectionPoset:
         self.facet_masks = facet_masks
         self.degenerate = len(facet_masks) == 1
 
-        # strict order: ambient (index 0) below everything; among supports,
-        # larger support = lower element
+        # the order as one bitmask per element: bit i of below[j] is set iff
+        # element i lies strictly below element j.  The ambient element 0 lies
+        # below everything; a support lies below its proper subsets, which
+        # come later in the descending-size order, so only i < j is checked.
         size = len(ordered) + 1
-        below = [[False] * size for _ in range(size)]
-        for j in range(1, size):
-            below[0][j] = True
-        for i in range(1, size):
-            for j in range(1, size):
-                a, b = ordered[i - 1], ordered[j - 1]
-                below[i][j] = a != b and a & b == b
-        self._below = below
-
-        # Möbius values from the minimum, in linear-extension order
+        below = [0] * size
+        above = [0] * size
         mob = [0] * size
         mob[0] = 1
         for j in range(1, size):
-            mob[j] = -sum(mob[i] for i in range(size) if below[i][j])
+            b = ordered[j - 1]
+            lower = [0] + [i for i in range(1, j) if ordered[i - 1] & b == b]
+            mask = 0
+            for i in lower:
+                mask |= 1 << i
+                above[i] |= 1 << j
+            below[j] = mask
+            # Möbius values from the minimum, in linear-extension order
+            mob[j] = -sum(mob[i] for i in lower)
         self.mobius = mob
 
         coeffs = [0] * (self.n_vertices + 1)
@@ -83,38 +86,27 @@ class IntersectionPoset:
             coeffs[ordered[j - 1].bit_count()] += mob[j]
         self.char_poly = coeffs
 
-        # covers via element bitmasks: i ⋖ j iff nothing sits strictly between
-        above_mask = [0] * size
-        below_mask = [0] * size
-        for i in range(size):
-            for j in range(size):
-                if below[i][j]:
-                    above_mask[i] |= 1 << j
-                    below_mask[j] |= 1 << i
+        # i ⋖ j iff nothing lies both above i and below j; walking i and then
+        # j upwards lists the covers sorted and each element's upper covers
         covers = []
+        ups = [[] for _ in range(size)]
         for i in range(size):
-            for j in range(size):
-                if below[i][j] and above_mask[i] & below_mask[j] == 0:
+            up = above[i]
+            while up:
+                low = up & -up
+                up ^= low
+                j = low.bit_length() - 1
+                if above[i] & below[j] == 0:
                     covers.append((i, j))
-        self.covers = sorted(covers)
+                    ups[i].append(j)
+        self.covers = covers
 
-        lengths = self._maximal_chain_lengths()
-        self.graded = len(lengths) == 1
-        self.rank = lengths.pop() if self.graded else None
-
-    def _maximal_chain_lengths(self) -> set[int]:
-        ups = {i: [j for (a, j) in self.covers if a == i] for i in range(len(self.mobius))}
-        memo: dict[int, set[int]] = {}
-
-        def lengths_from(i: int) -> set[int]:
-            if i not in memo:
-                if not ups[i]:
-                    memo[i] = {0}
-                else:
-                    memo[i] = {1 + d for j in ups[i] for d in lengths_from(j)}
-            return memo[i]
-
-        return lengths_from(0)
+        # lengths of the maximal chains from each element, upper covers first
+        lengths: list[set[int]] = [set()] * size
+        for i in range(size - 1, -1, -1):
+            lengths[i] = {1 + d for j in ups[i] for d in lengths[j]} if ups[i] else {0}
+        self.graded = len(lengths[0]) == 1
+        self.rank = next(iter(lengths[0])) if self.graded else None
 
     def element_support(self, index: int):
         """Support of element `index` as a sorted tuple, or None for the ambient space."""

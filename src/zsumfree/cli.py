@@ -27,11 +27,13 @@ stdout and the exit code as with --no-cache.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .arrangements import build_poset
@@ -67,7 +69,38 @@ EXIT_COUNTEREXAMPLE = 5
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)`, built with one
+    join per container: CPython's C encoder does not do indented output."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, newline: str) -> str:
+    # keys must be strings; floats and int subclasses go through json.dumps
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if type(obj) is int:
+        return str(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [str(x) if type(x) is int else _encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _quote(k) + ": " + (str(v) if type(v) is int else _encode(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +323,10 @@ def cmd_cache_clear(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later `main`
+    call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="zsumfree",
         description="ℓ-zero-sumfree complexes of Z/nZ: build, verify, scan.",
@@ -312,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--e", type=int)
     p.add_argument("--s", type=int)
-    p.add_argument("--oracle", action="store_true", help="force the brute-force cross-check")
-    p.add_argument("--no-oracle", action="store_true", help="skip the brute-force cross-check")
+    oracle = p.add_mutually_exclusive_group()
+    oracle.add_argument("--oracle", action="store_true", help="force the brute-force cross-check")
+    oracle.add_argument("--no-oracle", action="store_true", help="skip the brute-force cross-check")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("scan", help="run a conjecture scanner")

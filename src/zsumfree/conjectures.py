@@ -38,6 +38,7 @@ from .zerosumfree import ZsfParams, build_complex
 
 P_MAX_CAP = 12
 N_MAX_CAP = 24
+MAX_SUM_CAP = 40  # log-concavity: 8,696 partitions with distinct parts, 215,307 in all
 
 
 @dataclass
@@ -168,6 +169,8 @@ def scan_log_concavity(max_sum: int, include_repeated: bool = False) -> ScanRepo
     The conjecture hypothesizes distinct parts; `include_repeated=True` is an
     exploratory mode that scans every partition.
     """
+    if max_sum > MAX_SUM_CAP:
+        raise CapacityError(f"max_sum must be at most {MAX_SUM_CAP}, got {max_sum}")
     start = time.perf_counter()
     counterexamples = []
     instances = log_concavity_instances(max_sum, include_repeated)

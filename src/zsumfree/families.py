@@ -224,8 +224,11 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
     """Check a family's closed-form facets and arrangement claims.
 
     `oracle=None` runs the brute-force cross-check whenever n ≤ 24;
-    True forces it (capacity error beyond 24), False skips it.
+    True forces it (capacity error beyond 24, raised before any build),
+    False skips it.
     """
+    if oracle and spec.n > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute_force_complex supports n ≤ {BRUTE_FORCE_CAP}, got {spec.n}")
     params = ZsfParams(spec.n, spec.ell)
     closed = family_facets(spec)
     computed = build_complex(params)

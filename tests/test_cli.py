@@ -12,6 +12,8 @@ import pytest
 
 import zsumfree.arrangements as arr
 import zsumfree.cli as cli
+import zsumfree.conjectures as conj
+import zsumfree.families as fam
 from zsumfree.cli import main, table_rows
 from zsumfree.complexes import SimplicialComplex
 from zsumfree.conjectures import ScanReport
@@ -262,6 +264,11 @@ def test_family_oracle_flags(capsys):
     code, out, _ = run_cli(capsys, "family", "arms-legs", "--p", "3", "--s", "1", "--oracle")
     assert code == 0
     assert json.loads(out)["oracle_match"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "arms-legs", "--p", "3", "--s", "1", "--oracle", "--no-oracle"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err and "not allowed with" in captured.err
 
 
 def test_family_invalid_parameters(capsys):
@@ -277,9 +284,17 @@ def test_family_invalid_parameters(capsys):
         assert "invalid parameters" in err
 
 
-def test_family_capacity(capsys):
+def test_family_capacity(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "family", "prime-power", "--p", "2", "--e", "7")
     assert code == 4 and "capacity exceeded" in err
+    # a forced oracle beyond its n ≤ 24 range is refused before any build
+    def no_build(params):
+        raise AssertionError("built a complex the oracle cannot check")
+
+    monkeypatch.setattr(fam, "build_complex", no_build)
+    code, out, err = run_cli(capsys, "family", "doubling", "--rho", "31", "--m", "0", "--oracle")
+    assert code == 4 and "capacity exceeded" in err
+    assert out == ""
 
 
 def test_family_mismatch_exit(capsys, monkeypatch):
@@ -311,9 +326,14 @@ def test_scan_log_concavity_flags(capsys):
     assert code == 0 and json.loads(out)["checked"] == 138
 
 
-def test_scan_capacity(capsys):
+def test_scan_capacity(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "scan", "purity-prime", "--n-max", "25")
     assert code == 4 and "capacity exceeded" in err
+    # log-concavity refuses before it enumerates a partition
+    monkeypatch.setattr(conj, "log_concavity_instances", None)
+    too_big = str(conj.MAX_SUM_CAP + 1)
+    code, out, err = run_cli(capsys, "scan", "log-concavity", "--max-sum", too_big)
+    assert code == 4 and "capacity exceeded" in err and out == ""
 
 
 def test_scan_counterexample_exit(capsys, monkeypatch):
@@ -355,6 +375,63 @@ def test_table_json_mode(capsys):
 def test_table_capacity(capsys):
     code, _, err = run_cli(capsys, "table", "--n-max", "25")
     assert code == 4 and "capacity exceeded" in err
+
+
+# ---------------------------------------------------------------------------
+# output writer and parser reuse
+
+
+def test_dump_matches_json_dumps(capsys, monkeypatch):
+    seen = []
+    dump = cli._dump
+
+    def record(obj):
+        seen.append(obj)
+        return dump(obj)
+
+    monkeypatch.setattr(cli, "_dump", record)
+    commands = [
+        ["compute", str(n), str(ell), "--arrangement", "--no-cache"]
+        for n in range(2, 13)
+        for ell in range(1, n)
+    ]
+    commands += [
+        ["family", "doubling", "--rho", "3", "--m", "1"],
+        ["family", "prime-power", "--p", "3", "--e", "2"],
+        ["family", "arms-legs", "--p", "5", "--s", "3"],
+        ["scan", "isolated", "--p-max", "7"],
+        ["scan", "purity-prime", "--n-max", "9"],
+        ["scan", "hvec-purity", "--n-max", "8"],
+        ["scan", "connectivity", "--n-max", "8"],
+        ["scan", "log-concavity", "--max-sum", "8", "--include-repeated"],
+        ["table", "--n-max", "6", "--json"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(seen) == len(commands)
+    assert any("ö" in note for obj in seen if "notes" in obj for note in obj["notes"])
+    seen += [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]},
+        True, False, None, [True, False, None], -7, [0, -1, 2**70], 1.5, [-0.25, 1e300],
+        'say "hi" \\ Möbius ∅\n\t', {"ö": 'a"b', "a\\": -3, "": None},
+        (1, (2, 3)), [[1, 2], [3]],
+    ]
+    for obj in seen:
+        assert dump(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
+
+
+def test_parser_reuse_leaks_no_flags(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(capsys, "compute", "12", "6", "--arrangement")
+    assert code == 0 and "poset" in json.loads(out)
+    code, out, _ = run_cli(capsys, "compute", "12", "6")
+    assert code == 0 and "poset" not in json.loads(out)
+    argv = ["scan", "log-concavity", "--max-sum", "10"]
+    code, out, _ = run_cli(capsys, *argv, "--include-repeated")
+    assert code == 0 and json.loads(out)["range"]["include_repeated"] is True
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["range"]["include_repeated"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,8 @@ def test_scan_caps():
         scan_hvector_purity(25)
     with pytest.raises(CapacityError):
         scan_connectivity(25)
+    with pytest.raises(CapacityError):
+        scan_log_concavity(conj.MAX_SUM_CAP + 1)
 
 
 def test_scanner_registry():
