@@ -86,6 +86,11 @@ def enumerate_nlc(params: ZsfParams) -> list[frozenset]:
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
+def _unit_rows(n: int) -> list[list[int]]:
+    """rows[i][v] is the bit of u·v mod n for the i-th unit u ≠ 1 of Z/n."""
+    return [[1 << (u * v % n) for v in range(n)] for u in range(2, n) if gcd(u, n) == 1]
+
+
 def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     """Inclusion-minimal sets among the zero-padded NLC supports.
 
@@ -119,8 +124,7 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     """
     n, ell = params.n, params.ell
     full = (1 << n) - 1
-    # rows[i][v] is the bit of u·v for the i-th unit u ≠ 1
-    rows = [[1 << (u * v % n) for v in range(n)] for u in range(2, n) if gcd(u, n) == 1]
+    rows = _unit_rows(n)
     candidates: list[tuple[int, list[int]]] = []
     visited: set[int] = set()
 
@@ -157,67 +161,100 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _maximal_nonface_free(supported: list[int], edges: list[int]) -> list[int]:
+def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> list[int]:
     """Maximal subsets of `supported` containing none of the `edges`.
 
-    Depth-first search in ascending vertex order; a branch is cut when
-    everything it can still reach lies inside an already-found facet.  Only
-    facets that contain the node's mask can cut it, so each node is handed
-    just those: its parent's list filtered by the new vertex, plus the
-    facets found in earlier sibling subtrees.  A node's pruning cost is
-    O(facets containing it), not O(facets found).
+    Multiplying by a unit u of Z/n permutes the supported vertices and the
+    edges (the minimal non-faces), so it permutes the facets too.  The search
+    is an orderly generation over the (Z/n)^× orbits, like the walk in
+    `minimal_nonfaces`: a depth-first search over canonical faces (bit mask
+    the largest in its orbit) that adds vertices in descending order, each
+    below the node's minimum.  A node carries its images u·S as masks, so a
+    child's image costs one OR, and a child with an image larger than itself
+    is skipped.  A leaf adds its whole orbit to the facets found.
 
-    Each node also carries `blocked`, the vertices u outside its mask with
-    an edge e ∋ u whose other vertices e∖{u} all lie in the mask: exactly
-    the vertices that cannot join it.  Adding v can block only through the
-    edges at v, so the child's mask follows from the parent's by one pass
-    over them.  The candidates, the unblocked vertices above the last one
-    added, travel as a mask as well.  A leaf is maximal when every supported
-    vertex it lacks is blocked.
+    Every facet is found.  Its orbit holds a canonical member F, and the
+    delete-the-minimum argument of `minimal_nonfaces` holds for any family
+    that is closed under the units and under subsets, so every prefix of F
+    (its vertices from the top down) is canonical, and the search walks the
+    chain of prefixes to F unless a cut stops it first.
+
+    Each node carries `blocked`, the vertices u outside its mask with an
+    edge e ∋ u whose other vertices e∖{u} all lie in the mask: exactly the
+    vertices that cannot join it.  Adding v can block only through the edges
+    at v, so the child's mask follows from the parent's by one pass over
+    them.  The candidates, the unblocked vertices below the last one added,
+    travel as a mask as well; every face under the node lies inside the
+    horizon mask ∪ cand.  A vertex u is skipped when it is supported and
+    outside the mask, not blocked and not a candidate (so it lies above the
+    last vertex added): no face under the node holds it.  The horizon cut
+    drops a node when some skipped u has no edge e with e∖{u} inside the
+    horizon.  It is sound: such a u can never be blocked under the node, so
+    no face there is maximal.  On the path to a canonical facet F it never
+    fires: a skipped u lies outside F, and F is maximal, so some edge e ∋ u
+    has e∖{u} ⊆ F ⊆ horizon.  At a leaf (no candidates) every unblocked
+    vertex outside the mask is skipped, so a leaf that passes the cut is
+    maximal.  The same test also runs once per sibling: after child v, v is
+    skipped at every later sibling, whose horizons lie in mask ∪ (the
+    candidates below v), so when v completes no edge there, the later
+    siblings are all dropped at once; by the same argument this never drops
+    the sibling on the path to F.
+
+    No cut against the facets already found is needed.  If a node passes
+    the horizon cut and its horizon H lies inside a facet G, then H = G: a
+    vertex w of G outside H is supported and unblocked (an edge e ∋ w with
+    e∖{w} in the mask would lie in G), so w is skipped, and the cut found an
+    edge e ∋ w with e∖{w} ⊆ H ⊆ G, so e ⊆ G, which a face cannot hold.
     """
+    rows = _unit_rows(n)
     edges_at: dict[int, list[int]] = {v: [] for v in supported}
     for e in edges:
         for v in _vertices_of(e):
             edges_at[v].append(e)
     support = _mask_of(supported)
-    found: list[int] = []
+    found: set[int] = set()
 
-    def dfs(mask: int, blocked: int, cand: int, containing: list[int]) -> list[int]:
-        """The facets found under `mask`; `containing` holds the found facets ⊇ mask."""
-        horizon = mask | cand
-        for f in containing:
-            if horizon | f == f:
-                return []
+    def completes(u: int, horizon: int) -> bool:
+        """Whether some edge e ∋ u has e∖{u} inside `horizon` (which lacks u)."""
+        bit, outside = 1 << u, ~horizon
+        for e in edges_at[u]:
+            if e & outside == bit:
+                return True
+        return False
+
+    def dfs(mask: int, images: list[int], blocked: int, cand: int) -> None:
+        skipped = support & ~(mask | blocked | cand)
+        while skipped:
+            bit = skipped & -skipped
+            skipped ^= bit
+            if not completes(bit.bit_length() - 1, mask | cand):
+                return
         if not cand:
-            if not support & ~mask & ~blocked:
-                if len(found) >= FACET_COUNT_CAP:
-                    raise CapacityError(
-                        f"the complex has more than {FACET_COUNT_CAP} facets"
-                    )
-                found.append(mask)
-                return [mask]
-            return []
-        new: list[int] = []
+            found.add(mask)
+            found.update(images)
+            if len(found) > FACET_COUNT_CAP:
+                raise CapacityError(f"the complex has more than {FACET_COUNT_CAP} facets")
+            return
         rest = cand
         while rest:
-            bit = rest & -rest
+            v = rest.bit_length() - 1
+            bit = 1 << v
             rest ^= bit
             child = mask | bit
-            child_blocked = blocked
-            for e in edges_at[bit.bit_length() - 1]:
-                left = e & ~child
-                if not left & (left - 1):  # child holds all of e but one vertex
-                    child_blocked |= left
-            new += dfs(
-                child,
-                child_blocked,
-                rest & ~child_blocked,
-                [f for f in containing if f & bit] + [f for f in new if f & bit],
-            )
-        return new
+            child_images = [image | row[v] for image, row in zip(images, rows)]
+            if max(child_images, default=0) <= child:
+                child_blocked = blocked
+                for e in edges_at[v]:
+                    left = e & ~child
+                    if not left & (left - 1):  # child holds all of e but one vertex
+                        child_blocked |= left
+                dfs(child, child_images, child_blocked, rest & ~child_blocked)
+            # v is skipped at every later sibling, whose horizons lie in mask | rest
+            if not completes(v, mask | rest):
+                return
 
-    dfs(0, 0, support, [])
-    return found
+    dfs(0, [0] * len(rows), 0, support)
+    return list(found)
 
 
 def build_complex(params: ZsfParams) -> SimplicialComplex:
@@ -236,7 +273,7 @@ def build_complex(params: ZsfParams) -> SimplicialComplex:
     edges = [_mask_of(s) for s in mnf if len(s) >= 2]
     if not supported:
         return SimplicialComplex(range(n), [frozenset()])
-    facets = _maximal_nonface_free(supported, edges)
+    facets = _maximal_nonface_free(n, supported, edges)
     return SimplicialComplex(range(n), [frozenset(_vertices_of(m)) for m in facets])
 
 

@@ -447,7 +447,10 @@ def test_stdout_determinism_across_fresh_caches(capsys, tmp_path, monkeypatch):
 
 
 def test_module_invocation_subprocess(tmp_path):
-    env = dict(os.environ, ZSF_CACHE_DIR=str(tmp_path / "cache"))
+    # the child imports the package from the tree this suite tests
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, ZSF_CACHE_DIR=str(tmp_path / "cache"), PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "zsumfree.cli", "compute", "4", "2"],
         capture_output=True, text=True, env=env,

@@ -249,3 +249,31 @@ def test_facet_count_cap(monkeypatch):
         build_complex(ZsfParams(22, 2))  # has 1024 facets
     monkeypatch.setattr(zsf, "FACET_COUNT_CAP", 1024)
     assert len(build_complex(ZsfParams(22, 2)).facets) == 1024
+    # 786 facets in several unit orbits: the cap counts whole orbits
+    monkeypatch.setattr(zsf, "FACET_COUNT_CAP", 785)
+    with pytest.raises(CapacityError, match="more than 785 facets"):
+        build_complex(ZsfParams(22, 3))
+    monkeypatch.setattr(zsf, "FACET_COUNT_CAP", 786)
+    assert len(build_complex(ZsfParams(22, 3)).facets) == 786
+
+
+def test_facets_past_the_oracle_are_maximal_faces_closed_under_units():
+    # 23 ≤ n ≤ 26 lies past the brute-force oracle; check the facets directly.
+    # A unit maps faces to faces, so one maximality check per orbit suffices.
+    for n in range(23, 27):
+        units = [u for u in range(2, n) if math.gcd(u, n) == 1]
+        for ell in range(1, n):
+            p = ZsfParams(n, ell)
+            c = build_complex(p)
+            facets = set(c.facets)
+            supported = c.supported_vertices()
+            seen: set[frozenset] = set()
+            for facet in facets:
+                if facet in seen:
+                    continue
+                orbit = {facet} | {frozenset(u * x % n for x in facet) for u in units}
+                assert orbit <= facets, (n, ell, facet)
+                seen |= orbit
+                assert is_face(p, facet), (n, ell, facet)
+                for v in supported - facet:
+                    assert not is_face(p, facet | {v}), (n, ell, facet, v)
