@@ -33,7 +33,7 @@ class IntersectionPoset:
     """
 
     def __init__(self, c: SimplicialComplex):
-        facet_masks = list(c._facet_masks)
+        facet_masks = c._facet_masks
         if facet_masks == [0]:
             raise ValueError("the void complex has no subspaces to arrange")
         ambient_mask = 0
@@ -52,11 +52,8 @@ class IntersectionPoset:
             supports |= fresh
         ordered = sorted(supports, key=lambda m: (-m.bit_count(), _vertices_of(m)))
 
-        self.complex = c
-        self.ambient_mask = ambient_mask
         self.n_vertices = ambient_mask.bit_count()
         self.support_masks = ordered           # element i+1 has support ordered[i]
-        self.facet_masks = facet_masks
         self.degenerate = len(facet_masks) == 1
 
         # the order as one bitmask per element: bit i of below[j] is set iff

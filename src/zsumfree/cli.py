@@ -17,8 +17,9 @@ Exit codes: 0 ok, 2 invalid parameters, 3 oracle or family mismatch,
 4 capacity exceeded, 5 conjecture counterexample found.
 
 Artifacts are cached under $ZSF_CACHE_DIR (default ~/.cache/zsumfree), keyed
-by (n, ℓ, artifact version); cached payloads are byte-stable and carry no
-timestamps.  Bumping the artifact version invalidates old entries.  A cache
+by (n, ℓ, artifact version); cached payloads are byte-stable.  Each entry
+also records a `created_at` timestamp beside its payload, which is written
+but never read.  Bumping the artifact version invalidates old entries.  A cache
 that cannot be read or written never fails a command: an unreadable entry is
 a miss, and a failed write prints a one-line warning to stderr and leaves
 stdout and the exit code as with --no-cache.
@@ -182,7 +183,7 @@ def _complex_payload(params: ZsfParams) -> dict:
     f = faces_by_dimension(c)
     decomposition = decompose_disjoint_simplices(c)
     return {
-        "facets": [sorted(facet) for facet in sorted(c.facets, key=sorted)],
+        "facets": [sorted(facet) for facet in c.facets],
         "min_nonfaces": [sorted(s) for s in minimal_nonfaces(params)],
         "f_vector": f,
         "h_vector": f_to_h(f),

@@ -57,6 +57,7 @@ class SimplicialComplex:
         for f in facets:
             if not f <= self.ground:
                 raise ValueError(f"facet {sorted(f)} is not a subset of the ground set")
+        facets.sort(key=sorted)
         masks = [_mask_of(f) for f in facets]
         if len(set(masks)) != len(masks):
             raise ValueError("facets must be distinct")
@@ -74,8 +75,8 @@ class SimplicialComplex:
                 common &= holders[v]
             if common != 1 << i:
                 raise ValueError("facets must be pairwise inclusion-incomparable")
-        self.facets = tuple(sorted(facets, key=lambda f: tuple(sorted(f))))
-        self._facet_masks = tuple(_mask_of(f) for f in self.facets)
+        self.facets = tuple(facets)
+        self._facet_masks = masks
 
     def dim(self) -> int:
         """Dimension: largest facet size minus one (-1 for the void complex)."""
@@ -131,7 +132,7 @@ def faces_by_dimension(c: SimplicialComplex) -> list[int]:
         memo[key] = out
         return out
 
-    return count(list(c._facet_masks))
+    return count(c._facet_masks)
 
 
 def f_to_h(f: list[int]) -> list[int]:
@@ -231,22 +232,16 @@ def is_pure(c: SimplicialComplex) -> bool:
 
 def is_connected(c: SimplicialComplex) -> bool:
     """Connectivity of the 1-skeleton on supported vertices (≤ 1 vertex counts as connected)."""
-    verts = sorted(c.supported_vertices())
-    if len(verts) <= 1:
-        return True
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for f in c.facets:
-        fs = sorted(f)
-        for w in fs[1:]:
-            parent[find(w)] = find(fs[0])
-    return len({find(v) for v in verts}) == 1
+    components: list[int] = []  # vertex masks; each facet absorbs the ones it meets
+    for f in c._facet_masks:
+        apart = []
+        for comp in components:
+            if comp & f:
+                f |= comp
+            else:
+                apart.append(comp)
+        components = apart + [f]
+    return len(components) <= 1
 
 
 def isolated_vertices(c: SimplicialComplex) -> list[int]:
@@ -260,9 +255,9 @@ def decompose_disjoint_simplices(c: SimplicialComplex):
     A complex with pairwise disjoint facets is the disjoint union of simplices
     joined at the empty face.  The void complex decomposes as ().
     """
-    masks = c._facet_masks
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if a & b:
-                return None
-    return tuple(sorted((len(f) for f in c.facets if f), reverse=True))
+    union = 0
+    for m in c._facet_masks:
+        if union & m:
+            return None
+        union |= m
+    return tuple(sorted((m.bit_count() for m in c._facet_masks if m), reverse=True))

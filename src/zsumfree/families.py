@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangements import build_poset, verify_disjoint_union_char_poly
+from .arrangements import build_poset, disjoint_union_char_poly
 from .complexes import (
     CapacityError,
     SimplicialComplex,
@@ -31,7 +31,7 @@ from .complexes import (
     is_connected,
     is_pure,
 )
-from .zerosumfree import BRUTE_FORCE_CAP, ZsfParams, brute_force_complex, build_complex
+from .zerosumfree import BRUTE_FORCE_CAP, BUILD_CAP, ZsfParams, brute_force_complex, build_complex
 
 
 def is_prime(x: int) -> bool:
@@ -62,8 +62,8 @@ class FamilySpec:
             raise ValueError(f"rho must be a positive odd integer, got {rho}")
         if m < 0:
             raise ValueError(f"m must be nonnegative, got {m}")
-        if 2 ** (m + 1) * rho > 64:
-            raise CapacityError(f"doubling({rho},{m}) needs n = {2 ** (m + 1) * rho} > 64")
+        if 2 ** (m + 1) * rho > BUILD_CAP:
+            raise CapacityError(f"doubling({rho},{m}) needs n = {2 ** (m + 1) * rho} > {BUILD_CAP}")
         return cls("doubling", rho=rho, m=m)
 
     @classmethod
@@ -72,8 +72,8 @@ class FamilySpec:
             raise ValueError(f"p must be prime, got {p}")
         if e < 1:
             raise ValueError(f"e must be positive, got {e}")
-        if p**e > 64:
-            raise CapacityError(f"prime_power({p},{e}) needs n = {p ** e} > 64")
+        if p**e > BUILD_CAP:
+            raise CapacityError(f"prime_power({p},{e}) needs n = {p ** e} > {BUILD_CAP}")
         return cls("prime-power", p=p, e=e)
 
     @classmethod
@@ -84,8 +84,8 @@ class FamilySpec:
             raise ValueError(f"s must be 1, 2 or 3, got {s}")
         if s == 3 and p < 5:
             raise ValueError("s = 3 requires p >= 5")
-        if 2 * p > 64:
-            raise CapacityError(f"arms_legs({p},{s}) needs n = {2 * p} > 64")
+        if 2 * p > BUILD_CAP:
+            raise CapacityError(f"arms_legs({p},{s}) needs n = {2 * p} > {BUILD_CAP}")
         return cls("arms-legs", p=p, s=s)
 
     @property
@@ -212,12 +212,7 @@ def expected_rank(spec: FamilySpec) -> int:
     """Poset rank the family is expected to have (1 for a lone facet)."""
     if spec.kind == "arms-legs" and spec.s in (1, 3):
         return 3
-    facet_count = {
-        "doubling": 2**spec.m if spec.m is not None else None,
-        "prime-power": spec.e * (spec.p - 1) if spec.e is not None else None,
-        "arms-legs": spec.p - 1 if spec.p is not None else None,
-    }[spec.kind]
-    return 1 if facet_count == 1 else 2
+    return 1 if len(family_facets(spec).facets) == 1 else 2
 
 
 def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
@@ -257,7 +252,7 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
 
     disjoint_ok = None
     if decomposition:
-        disjoint_ok = verify_disjoint_union_char_poly(computed)
+        disjoint_ok = actual == disjoint_union_char_poly(poset.n_vertices, decomposition)
 
     if poset.degenerate:
         notes.append(

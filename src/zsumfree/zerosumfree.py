@@ -271,8 +271,6 @@ def build_complex(params: ZsfParams) -> SimplicialComplex:
     killed = {next(iter(s)) for s in mnf if len(s) == 1}
     supported = [v for v in range(1, n) if v not in killed]
     edges = [_mask_of(s) for s in mnf if len(s) >= 2]
-    if not supported:
-        return SimplicialComplex(range(n), [frozenset()])
     facets = _maximal_nonface_free(n, supported, edges)
     return SimplicialComplex(range(n), [frozenset(_vertices_of(m)) for m in facets])
 

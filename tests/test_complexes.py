@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from conftest import corpus_complexes, hand_fixtures
 from zsumfree.complexes import (
     SimplicialComplex,
+    _mask_of,
     alexander_dual,
     decompose_disjoint_simplices,
     f_to_h,
@@ -40,6 +42,14 @@ def brute_faces(c: SimplicialComplex) -> set[frozenset]:
 
 # ---------------------------------------------------------------------------
 # construction
+
+
+def test_facet_masks_follow_the_facet_order():
+    for c in corpus_complexes():
+        assert len(c._facet_masks) == len(c.facets)
+        for i, f in enumerate(c.facets):
+            assert c._facet_masks[i] == _mask_of(f)
+        assert list(c.facets) == sorted(c.facets, key=sorted)
 
 
 def test_constructor_validation():
@@ -237,6 +247,61 @@ def test_is_connected_examples():
     assert is_connected(SimplicialComplex(range(3), [fs(1)]))
     # chains of overlapping facets are connected
     assert is_connected(SimplicialComplex(range(5), [fs(0, 1), fs(1, 2), fs(2, 3, 4)]))
+
+
+def skeleton_connected(c: SimplicialComplex) -> bool:
+    """Connectivity by a graph search over the 1-skeleton (oracle)."""
+    verts = set().union(*c.facets)
+    if len(verts) <= 1:
+        return True
+    start = min(verts)
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for f in c.facets:
+            if v in f:
+                for w in f - seen:
+                    seen.add(w)
+                    stack.append(w)
+    return seen == verts
+
+
+def pairwise_disjoint(c: SimplicialComplex) -> bool:
+    return all(not a & b for a, b in itertools.combinations(c.facets, 2))
+
+
+def shuffled_corpus() -> list[SimplicialComplex]:
+    """The corpus rebuilt from its facets passed in a shuffled order."""
+    rng = random.Random(9)
+    out = []
+    for c in corpus_complexes():
+        facets = list(c.facets)
+        rng.shuffle(facets)
+        out.append(SimplicialComplex(c.ground, facets))
+    return out
+
+
+def test_is_connected_matches_skeleton_search():
+    for c in shuffled_corpus():
+        assert is_connected(c) == skeleton_connected(c), c.facets
+
+
+def test_is_connected_merges_components_through_a_later_facet():
+    # {5,6} comes last in the facet order and joins {1,5} to {2,6}
+    assert is_connected(SimplicialComplex(range(7), [fs(1, 5), fs(2, 6), fs(5, 6)]))
+    assert is_connected(SimplicialComplex(range(7), [fs(5, 6), fs(2, 6), fs(1, 5)]))
+    assert not is_connected(SimplicialComplex(range(4), [fs(1), fs(2, 3)]))
+
+
+def test_decompose_matches_pairwise_check():
+    for c in shuffled_corpus():
+        parts = decompose_disjoint_simplices(c)
+        if pairwise_disjoint(c):
+            assert parts == tuple(sorted((len(f) for f in c.facets if f), reverse=True)), c.facets
+        else:
+            assert parts is None, c.facets
+    # overlapping facets that are not adjacent in the facet order
+    assert decompose_disjoint_simplices(SimplicialComplex(range(6), [fs(1, 5), fs(2), fs(3, 5)])) is None
 
 
 def test_isolated_vertices_examples():

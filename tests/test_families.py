@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import zsumfree.arrangements as arrangements
 from zsumfree.complexes import CapacityError
 from zsumfree.families import (
     FamilySpec,
@@ -246,6 +247,23 @@ def test_oracle_flag_control():
     spec = FamilySpec.prime_power(3, 2)
     assert verify_family(spec, oracle=False)["oracle_match"] is None
     assert verify_family(spec, oracle=True)["oracle_match"] is True
+
+
+def test_verify_family_builds_one_poset(monkeypatch):
+    # counts every poset built, whichever module's `build_poset` builds it
+    calls = []
+
+    class CountingPoset(arrangements.IntersectionPoset):
+        def __init__(self, c):
+            calls.append(c)
+            super().__init__(c)
+
+    monkeypatch.setattr(arrangements, "IntersectionPoset", CountingPoset)
+    for spec in [FamilySpec.doubling(3, 1), FamilySpec.prime_power(3, 2), FamilySpec.arms_legs(5, 2)]:
+        calls.clear()
+        rep = verify_family(spec, oracle=False)
+        assert rep["disjoint_union_formula_ok"] is True, spec
+        assert len(calls) == 1, spec
 
 
 def all_specs(n_cap: int) -> list[FamilySpec]:
