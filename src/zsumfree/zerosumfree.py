@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import CapacityError, SimplicialComplex, _mask_of, _vertices_of
+from .complexes import CapacityError, SimplicialComplex, _check_vertices, _mask_of, _vertices_of
 from .partitions import enumerate_partitions
 
 BUILD_CAP = 64
@@ -51,7 +51,9 @@ def is_face(params: ZsfParams, members) -> bool:
     0 ∉ R_ell.  Cost O(ell · n · |members|) bit operations.
     """
     n, ell = params.n, params.ell
-    s = sorted(set(int(x) for x in members))
+    s = set(members)
+    _check_vertices(s)
+    s = sorted(s)
     if any(x < 0 or x >= n for x in s):
         raise ValueError(f"members must be residues in 0..{n - 1}")
     full = (1 << n) - 1
@@ -86,9 +88,22 @@ def enumerate_nlc(params: ZsfParams) -> list[frozenset]:
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _unit_rows(n: int) -> list[list[int]]:
-    """rows[i][v] is the bit of u·v mod n for the i-th unit u ≠ 1 of Z/n."""
-    return [[1 << (u * v % n) for v in range(n)] for u in range(2, n) if gcd(u, n) == 1]
+def _unit_table(n: int) -> tuple[list[int], list[int], int, range]:
+    """Packed images of the vertices under the units u ≠ 1 of Z/n.
+
+    Field i of a packed int holds bits i·w .. i·w + n with w = n + 1 and
+    stands for the i-th unit u ≠ 1; its top bit, bit n, is a guard bit and
+    the bits below it hold a vertex mask.  Returns (IMG, SELF, GUARDS,
+    offsets): IMG[v] holds bit u·v mod n in field i, SELF[v] holds bit v in
+    every field, GUARDS holds every guard bit (0 when 1 is the only unit)
+    and `offsets` are the fields' lowest bits, i·w, for unpacking.
+    """
+    w = n + 1
+    units = [u for u in range(2, n) if gcd(u, n) == 1]
+    offsets = range(0, len(units) * w, w)
+    spread = sum(1 << i for i in offsets)
+    img = [sum(1 << (i + u * v % n) for i, u in zip(offsets, units)) for v in range(n)]
+    return img, [spread << v for v in range(n)], spread << n, offsets
 
 
 def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
@@ -106,15 +121,27 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     Multiplying by a unit u of Z/n permutes the faces and the non-faces, so
     the walk is an orderly generation (Read 1978) over the (Z/n)^× orbits:
     it visits only canonical sets, those whose bit mask is the largest in
-    their orbit.  A child adds a vertex below the node's minimum, and each
-    node carries its images u·S as masks, so a child's image costs one OR;
-    a child with an image larger than itself is skipped.  This reaches every
+    their orbit.  A child adds a vertex below the node's minimum; a child
+    with an image larger than itself is skipped.  This reaches every
     canonical set, because deleting the minimum m of a canonical S leaves a
     canonical S' = S∖{m}.  Suppose u·S' > S', with p the top bit where they
     differ.  Then p > m: otherwise u·S' would hold all of S' and p besides,
     one element too many.  If u·m > p, then u·S and S agree above u·m and
     only u·S holds u·m; if u·m < p, they agree above p and only u·S holds p.
     Either way u·S > S, so S is not canonical.
+
+    A node carries all its images u·S, u ≠ 1, packed in one int `images`
+    (the layout of `_unit_table`: one n+1 bit field per unit, bit n of each
+    field a guard bit), and `copies`, S repeated in every field with every
+    guard bit set.  A child adding v costs `images | IMG[v]` and
+    `copies | SELF[v]`, and it is canonical iff
+    `(copies - images) & GUARDS == GUARDS`.  Field i of `copies - images`
+    holds (S + 2^n) - u·S, which lies in (0, 2^{n+1}) because both masks
+    are below 2^n, so no borrow crosses into the next field; its guard bit
+    is set iff (S + 2^n) - u·S ≥ 2^n, that is iff u·S ≤ S.  All guard bits
+    are set iff max(u·S) ≤ S.  The fields are unpacked only where single
+    masks are needed: into `visited` and for the orbits of the minimal
+    candidates.
 
     Every node and its images are recorded, so the visited set is every face
     of size < ell.  A non-face child has at most `ell` elements, so each of
@@ -124,19 +151,19 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     """
     n, ell = params.n, params.ell
     full = (1 << n) - 1
-    rows = _unit_rows(n)
-    candidates: list[tuple[int, list[int]]] = []
+    img, self_bits, guards, offsets = _unit_table(n)
+    candidates: list[tuple[int, int]] = []
     visited: set[int] = set()
 
     # reach[t] = residues reachable as sums of exactly t elements of the
     # current support (repetition allowed).
-    def walk(support_mask: int, images: list[int], size: int, low: int, reach: list[int]) -> None:
+    def walk(support_mask: int, images: int, copies: int, size: int, low: int, reach: list[int]) -> None:
         visited.add(support_mask)
-        visited.update(images)
+        visited.update([images >> s & full for s in offsets])
         for v in range(low - 1, 0, -1):
-            child = support_mask | (1 << v)
-            child_images = [image | row[v] for image, row in zip(images, rows)]
-            if max(child_images, default=0) > child:
+            child_images = images | img[v]
+            child_copies = copies | self_bits[v]
+            if (child_copies - child_images) & guards != guards:
                 continue
             # child[t] = sums avoiding v, or one more v on a child sum of t-1
             child_reach = [1]
@@ -144,21 +171,28 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
             for t in range(1, ell + 1):
                 acc = reach[t] | (((acc << v) | (acc >> (n - v))) & full)
                 child_reach.append(acc)
+            child = support_mask | (1 << v)
             if acc & 1:
                 candidates.append((child, child_images))
             elif size + 1 < ell:
-                walk(child, child_images, size + 1, v, child_reach)
+                walk(child, child_images, child_copies, size + 1, v, child_reach)
 
     reach0 = [0] * (ell + 1)
     reach0[0] = 1
-    walk(0, [0] * len(rows), 0, n, reach0)
+    walk(0, 0, guards, 0, n, reach0)
     masks = {1}  # {0}, then the orbits of the minimal canonical candidates
     for m, images in candidates:
-        if all((m & ~(1 << v)) in visited for v in _vertices_of(m)):
+        rest = m
+        while rest:
+            low = rest & -rest
+            if m ^ low not in visited:
+                break
+            rest ^= low
+        else:
             masks.add(m)
-            masks.update(images)
-    sets = [frozenset(_vertices_of(m)) for m in masks]
-    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+            masks.update([images >> s & full for s in offsets])
+    keyed = sorted((m.bit_count(), _vertices_of(m)) for m in masks)
+    return [frozenset(vertices) for _, vertices in keyed]
 
 
 def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> list[int]:
@@ -169,9 +203,15 @@ def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> lis
     is an orderly generation over the (Z/n)^× orbits, like the walk in
     `minimal_nonfaces`: a depth-first search over canonical faces (bit mask
     the largest in its orbit) that adds vertices in descending order, each
-    below the node's minimum.  A node carries its images u·S as masks, so a
-    child's image costs one OR, and a child with an image larger than itself
-    is skipped.  A leaf adds its whole orbit to the facets found.
+    below the node's minimum.  A node carries its images u·S packed in one
+    int (one n+1 bit field per unit u ≠ 1, bit n of each field a guard bit)
+    and `copies`, S in every field with every guard bit set, exactly as in
+    `minimal_nonfaces`.  A child costs two ORs, and the guard compare
+    `(copies - images) & GUARDS == GUARDS` holds iff max(u·S) ≤ S: field i
+    computes (S + 2^n) - u·S with no borrow into the next field, and keeps
+    its guard bit iff u·S ≤ S.  So a child with an image larger than itself
+    is skipped in a few whole-int operations.  A leaf unpacks its images
+    and adds its whole orbit to the facets found.
 
     Every facet is found.  Its orbit holds a canonical member F, and the
     delete-the-minimum argument of `minimal_nonfaces` holds for any family
@@ -206,7 +246,8 @@ def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> lis
     e∖{w} in the mask would lie in G), so w is skipped, and the cut found an
     edge e ∋ w with e∖{w} ⊆ H ⊆ G, so e ⊆ G, which a face cannot hold.
     """
-    rows = _unit_rows(n)
+    full = (1 << n) - 1
+    img, self_bits, guards, offsets = _unit_table(n)
     edges_at: dict[int, list[int]] = {v: [] for v in supported}
     for e in edges:
         for v in _vertices_of(e):
@@ -222,7 +263,7 @@ def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> lis
                 return True
         return False
 
-    def dfs(mask: int, images: list[int], blocked: int, cand: int) -> None:
+    def dfs(mask: int, images: int, copies: int, blocked: int, cand: int) -> None:
         skipped = support & ~(mask | blocked | cand)
         while skipped:
             bit = skipped & -skipped
@@ -231,7 +272,7 @@ def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> lis
                 return
         if not cand:
             found.add(mask)
-            found.update(images)
+            found.update([images >> s & full for s in offsets])
             if len(found) > FACET_COUNT_CAP:
                 raise CapacityError(f"the complex has more than {FACET_COUNT_CAP} facets")
             return
@@ -240,20 +281,21 @@ def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> lis
             v = rest.bit_length() - 1
             bit = 1 << v
             rest ^= bit
-            child = mask | bit
-            child_images = [image | row[v] for image, row in zip(images, rows)]
-            if max(child_images, default=0) <= child:
+            child_images = images | img[v]
+            child_copies = copies | self_bits[v]
+            if (child_copies - child_images) & guards == guards:
+                child = mask | bit
                 child_blocked = blocked
                 for e in edges_at[v]:
                     left = e & ~child
                     if not left & (left - 1):  # child holds all of e but one vertex
                         child_blocked |= left
-                dfs(child, child_images, child_blocked, rest & ~child_blocked)
+                dfs(child, child_images, child_copies, child_blocked, rest & ~child_blocked)
             # v is skipped at every later sibling, whose horizons lie in mask | rest
             if not completes(v, mask | rest):
                 return
 
-    dfs(0, [0] * len(rows), 0, support)
+    dfs(0, 0, guards, 0, support)
     return list(found)
 
 

@@ -61,6 +61,11 @@ def test_constructor_validation():
         lambda: SimplicialComplex([-1, 2], [fs(2)]),         # negative vertex
         lambda: SimplicialComplex(range(8), [fs(2, 5), fs(1, 3), fs(6, 7), fs(1, 2, 5)]),  # nested, not adjacent
         lambda: SimplicialComplex([1, 2], [fs(), fs(1)]),    # empty facet beside a non-empty one
+        lambda: SimplicialComplex(range(4), [fs(1.7)]),      # float vertex
+        lambda: SimplicialComplex(range(4), [fs(1.0)]),      # float vertex equal to an int
+        lambda: SimplicialComplex(range(4), [fs(True)]),     # bool vertex
+        lambda: SimplicialComplex(range(4), [fs("1")]),      # str vertex
+        lambda: SimplicialComplex([0, 1.0], [fs(0)]),        # float in the ground set
     ]:
         try:
             bad_call()
@@ -109,6 +114,16 @@ def test_f_vector_matches_face_test():
                 if is_face(p, combo)
             ]
             assert faces_by_dimension(build_complex(p)) == count_by_size(faces), (n, ell)
+
+
+def test_f_vector_closed_forms_past_the_face_test_sweep():
+    # Δ_{n,2} holds at most one of each pair {v, -v} (and never 0 or n/2):
+    # a join of ⌊(n-1)/2⌋ 0-spheres, f = (1 + 2x)^⌊(n-1)/2⌋.  Δ_{n,1} is the
+    # simplex on 1..n-1, f = (1 + x)^(n-1).
+    for n in range(3, 27):
+        m = (n - 1) // 2
+        assert faces_by_dimension(build_complex(ZsfParams(n, 2))) == [binomial(m, k) * 2**k for k in range(m + 1)], n
+        assert faces_by_dimension(build_complex(ZsfParams(n, 1))) == [binomial(n - 1, k) for k in range(n)], n
 
 
 def test_f0_counts_supported_vertices():

@@ -53,6 +53,12 @@ def test_is_face_rejects_out_of_range_members():
     raise AssertionError("accepted a member outside 0..n-1")
 
 
+def test_is_face_rejects_non_int_members():
+    for members in ([1.5], [1.0], [True], ["1"], [2, 3.0]):
+        with pytest.raises(ValueError, match="must be ints"):
+            is_face(ZsfParams(6, 3), members)
+
+
 def test_is_face_matches_multiset_oracle():
     for n in range(2, 10):
         for ell in range(1, n):
@@ -277,3 +283,30 @@ def test_facets_past_the_oracle_are_maximal_faces_closed_under_units():
                 assert is_face(p, facet), (n, ell, facet)
                 for v in supported - facet:
                     assert not is_face(p, facet | {v}), (n, ell, facet, v)
+
+
+def test_packed_unit_images_at_their_widest(monkeypatch):
+    # A prime n has n - 2 units u ≠ 1, so the packed images of the walk and
+    # the facet search carry the most fields.  Δ_{29,3} and Δ_{31,3} have
+    # 4561 and 7935 facets, more than the default cap of 4096.
+    monkeypatch.setattr(zsf, "FACET_COUNT_CAP", 10_000)
+    for n in (29, 31):
+        units = range(2, n)
+        for ell in (3, (n + 1) // 2, n - 2):
+            p = ZsfParams(n, ell)
+            mnf = set(minimal_nonfaces(p))
+            facets = set(build_complex(p).facets)
+            for s in mnf:
+                assert not is_face(p, s), (n, ell, s)
+                assert all(is_face(p, s - {v}) for v in s), (n, ell, s)
+            for family in (mnf, facets):
+                seen: set[frozenset] = set()
+                for s in family:
+                    if s in seen:
+                        continue
+                    orbit = {s} | {frozenset(u * x % n for x in s) for u in units}
+                    assert orbit <= family, (n, ell, s)
+                    seen |= orbit
+                    if family is facets:  # one maximality check per orbit
+                        assert is_face(p, s), (n, ell, s)
+                        assert not any(is_face(p, s | {v}) for v in range(1, n) if v not in s), (n, ell, s)
