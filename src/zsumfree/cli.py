@@ -34,6 +34,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -43,7 +44,6 @@ from .complexes import (
     SimplicialComplex,
     decompose_disjoint_simplices,
     f_to_h,
-    faces_by_dimension,
     is_connected,
     is_pure,
 )
@@ -52,6 +52,7 @@ from .families import FamilySpec, family_report_ok, verify_family
 from .zerosumfree import (
     BRUTE_FORCE_CAP,
     ZsfParams,
+    _f_vector,
     brute_force_complex,
     build_complex,
     minimal_nonfaces,
@@ -139,8 +140,9 @@ def _atomic_write(path: Path, data: bytes) -> None:
 def load_cached_payload(n: int, ell: int) -> dict | None:
     """The cached payload for (n, ℓ), or None when the entry is missing, stale
     or malformed; None means recompute.  Only the shape is checked: `complex`
-    must hold exactly the keys `_complex_payload` writes, with `facets` a list
-    of lists, and a `poset`, if present, must be a dict with `char_poly`."""
+    must hold exactly the keys `_complex_payload` writes, with `facets` and
+    `min_nonfaces` lists of lists of ints in 0..n-1, and a `poset`, if
+    present, must be a dict with `char_poly`."""
     path = _cache_path(n, ell)
     try:
         entry = json.loads(path.read_text())
@@ -155,8 +157,14 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
     complex_ = payload.get("complex")
     if not isinstance(complex_, dict) or complex_.keys() != COMPLEX_KEYS:
         return None
-    facets = complex_["facets"]
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+    vertices = []
+    for key in ("facets", "min_nonfaces"):
+        sets = complex_[key]
+        if not isinstance(sets, list) or set(map(type, sets)) - {list}:
+            return None
+        vertices += chain.from_iterable(sets)
+    # one C-level pass over the types (a bool or float is no vertex), then the range
+    if set(map(type, vertices)) - {int} or (vertices and not 0 <= min(vertices) <= max(vertices) < n):
         return None
     poset = payload.get("poset", {"char_poly": None})
     if not isinstance(poset, dict) or "char_poly" not in poset:
@@ -180,11 +188,12 @@ def store_payload(n: int, ell: int, payload: dict) -> None:
 
 def _complex_payload(params: ZsfParams) -> dict:
     c = build_complex(params)
-    f = faces_by_dimension(c)
+    mnf = minimal_nonfaces(params)
+    f = _f_vector(params, mnf, c)
     decomposition = decompose_disjoint_simplices(c)
     return {
         "facets": [sorted(facet) for facet in c.facets],
-        "min_nonfaces": [sorted(s) for s in minimal_nonfaces(params)],
+        "min_nonfaces": [sorted(s) for s in mnf],
         "f_vector": f,
         "h_vector": f_to_h(f),
         "pure": is_pure(c),

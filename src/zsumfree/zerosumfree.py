@@ -16,10 +16,19 @@ constructions are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 from math import gcd
+from operator import or_
 
-from .complexes import CapacityError, SimplicialComplex, _check_vertices, _mask_of, _vertices_of
-from .partitions import enumerate_partitions
+from .complexes import (
+    CapacityError,
+    SimplicialComplex,
+    _check_vertices,
+    _mask_of,
+    _vertices_of,
+    faces_by_dimension,
+)
+from .partitions import binomial, enumerate_partitions
 
 BUILD_CAP = 64
 BRUTE_FORCE_CAP = 24
@@ -88,7 +97,8 @@ def enumerate_nlc(params: ZsfParams) -> list[frozenset]:
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _unit_table(n: int) -> tuple[list[int], list[int], int, range]:
+@cache
+def _unit_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, range]:
     """Packed images of the vertices under the units u ≠ 1 of Z/n.
 
     Field i of a packed int holds bits i·w .. i·w + n with w = n + 1 and
@@ -96,14 +106,15 @@ def _unit_table(n: int) -> tuple[list[int], list[int], int, range]:
     the bits below it hold a vertex mask.  Returns (IMG, SELF, GUARDS,
     offsets): IMG[v] holds bit u·v mod n in field i, SELF[v] holds bit v in
     every field, GUARDS holds every guard bit (0 when 1 is the only unit)
-    and `offsets` are the fields' lowest bits, i·w, for unpacking.
+    and `offsets` are the fields' lowest bits, i·w, for unpacking.  Built
+    once per n and shared by every caller, hence tuples.
     """
     w = n + 1
     units = [u for u in range(2, n) if gcd(u, n) == 1]
     offsets = range(0, len(units) * w, w)
     spread = sum(1 << i for i in offsets)
-    img = [sum(1 << (i + u * v % n) for i, u in zip(offsets, units)) for v in range(n)]
-    return img, [spread << v for v in range(n)], spread << n, offsets
+    img = tuple(sum(1 << (i + u * v % n) for i, u in zip(offsets, units)) for v in range(n))
+    return img, tuple(spread << v for v in range(n)), spread << n, offsets
 
 
 def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
@@ -315,6 +326,119 @@ def build_complex(params: ZsfParams) -> SimplicialComplex:
     edges = [_mask_of(s) for s in mnf if len(s) >= 2]
     facets = _maximal_nonface_free(n, supported, edges)
     return SimplicialComplex(range(n), [frozenset(_vertices_of(m)) for m in facets])
+
+
+def _f_vector(params: ZsfParams, mnf: list[frozenset], c: SimplicialComplex | None) -> list[int]:
+    """f-vector of Δ_{n,ℓ} from its minimal non-faces `mnf`, as `faces_by_dimension` gives it.
+
+    `c` is the complex with these minimal non-faces, or None when it is too
+    large to build; it is read only to choose the cheaper count (see the
+    fallback below), so the result does not depend on it.
+
+    The f-polynomial f(x) = Σ_S x^{|S|} of a join is the product of its
+    parts' f-polynomials, and Δ_{n,ℓ} splits as a join along the connected
+    components of its non-face hypergraph (non-faces of two or more
+    vertices; two meet when they share a vertex): a set is a face iff its
+    part in each component holds no non-face of that component.  So each
+    vertex in no non-face is a cone factor 1 + x, a vertex that is itself a
+    non-face adds nothing, and a component that is one non-face e holds
+    every subset of e but e itself: (1 + x)^{|e|} - x^{|e|}.  These
+    closed forms are exact and cover Δ_{n,1} (a simplex) and Δ_{n,2} (a
+    join of the pairs {a, -a}).
+
+    The other components make up the rest R.  A unit u of Z/n permutes the
+    non-faces, so it maps components to components of the same shape, and
+    R and its faces are closed under the units.  They are counted by an
+    orderly depth-first search over canonical faces of R (bit mask the
+    largest in its orbit), with the packed images, the guard-bit test and
+    the `blocked` masks of `_maximal_nonface_free`: the delete-the-minimum
+    argument of `minimal_nonfaces` holds for any family closed under the
+    units and under subsets, so the search visits exactly one face per
+    orbit.  No horizon cut applies, since every face counts.  By the
+    orbit-stabilizer theorem the orbit of a canonical S has |G|/|Stab S|
+    members, G the unit group, all of size |S|, so S adds that much to
+    f_{|S|}.  A unit u ≠ 1 fixes S iff field u of `images ^ copies` holds
+    only its guard bit, that is iff u·S xor S = 0.  Subtracting 1 from
+    every field (the int with bit i·(n+1) set in every field) clears the
+    guard of exactly the zero fields and borrows nothing across fields, so
+    |G| - |Stab S| = popcount(((images ^ copies) - ones) & GUARDS).
+
+    The search visits at least 2^d/|G| nodes, d the size of the largest
+    facet: that facet's subsets alone fill at least 2^d/|G| orbits.  The
+    deletion–link recursion of `faces_by_dimension` costs about one step per
+    facet.  So when 2^d > |G|·#facets, as on the odd-residue simplex of
+    even n and odd ℓ (Δ_{24,13}, Δ_{32,7}), `faces_by_dimension(c)` counts
+    the whole complex instead.
+    """
+    n = params.n
+    masks = [_mask_of(s) for s in mnf]
+    free = n - reduce(or_, masks, 0).bit_count()
+    poly = [binomial(free, k) for k in range(free + 1)]
+    edges = [m for m in masks if m & (m - 1)]
+    components: list[int] = []  # vertex masks
+    pending = edges
+    while pending:
+        comp, grown = 0, pending[0]
+        while grown != comp:
+            comp = grown
+            grown = reduce(or_, [e for e in pending if e & comp])
+        components.append(comp)
+        pending = [e for e in pending if not e & comp]
+    # the minimal non-faces are an antichain, so a component that is itself
+    # a non-face holds no other one
+    single = set(edges).intersection(components)
+    rest = 0
+    for comp in components:
+        if comp in single:
+            s = comp.bit_count()
+            poly = _times(poly, [binomial(s, k) for k in range(s)])
+        else:
+            rest |= comp
+    if not rest:
+        return poly
+    img, self_bits, guards, offsets = _unit_table(n)
+    order = len(offsets) + 1
+    if c is not None and 1 << (c.dim() + 1) > order * len(c.facets):
+        return faces_by_dimension(c)
+    ones = guards >> n
+    edges_at: dict[int, list[int]] = {v: [] for v in _vertices_of(rest)}
+    for e in edges:
+        if e & rest:
+            for v in _vertices_of(e):
+                edges_at[v].append(e)
+    counts = [0] * (n + 1)
+
+    def dfs(mask: int, images: int, copies: int, blocked: int, cand: int, size: int) -> None:
+        moved = (((images ^ copies) - ones) & guards).bit_count()
+        counts[size] += order // (order - moved)
+        while cand:
+            v = cand.bit_length() - 1
+            bit = 1 << v
+            cand ^= bit
+            child_images = images | img[v]
+            child_copies = copies | self_bits[v]
+            if (child_copies - child_images) & guards == guards:
+                child = mask | bit
+                child_blocked = blocked
+                for e in edges_at[v]:
+                    left = e & ~child
+                    if not left & (left - 1):  # child holds all of e but one vertex
+                        child_blocked |= left
+                dfs(child, child_images, child_copies, child_blocked, cand & ~child_blocked, size + 1)
+
+    dfs(0, 0, guards, 0, rest, 0)
+    while not counts[-1]:
+        counts.pop()
+    return _times(poly, counts)
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """Product of two polynomials given as ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def brute_force_complex(params: ZsfParams) -> SimplicialComplex:

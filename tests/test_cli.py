@@ -195,14 +195,31 @@ def test_malformed_cache_entry_is_recomputed(capsys, tmp_cache, entry):
     assert isinstance(json.loads(path.read_bytes())["payload"]["complex"], dict)  # rewritten
 
 
+def _set_vertex(key, value):
+    """Damage: overwrite the first vertex of the first set under `complex[key]`."""
+    return lambda payload: payload["complex"][key][0].__setitem__(0, value)
+
+
 @pytest.mark.parametrize(
     "damage, flags",
     [
-        ({"complex": {}}, []),
-        ({"complex": {}}, ["--oracle"]),
-        ({"poset": []}, ["--arrangement"]),
+        (lambda payload: payload.update(complex={}), []),
+        (lambda payload: payload.update(complex={}), ["--oracle"]),
+        (lambda payload: payload.update(poset=[]), ["--arrangement"]),
+        (_set_vertex("facets", 1.5), []),  # [1.5, 5, 9]
+        (_set_vertex("facets", 1.5), ["--arrangement"]),
+        (_set_vertex("facets", True), []),
+        (_set_vertex("facets", 12), ["--arrangement"]),
+        (_set_vertex("min_nonfaces", -1), []),
+        (_set_vertex("min_nonfaces", "0"), ["--arrangement"]),
+        (lambda payload: payload["complex"]["min_nonfaces"].append(3), []),
     ],
-    ids=["empty-complex", "empty-complex-oracle", "list-poset"],
+    ids=[
+        "empty-complex", "empty-complex-oracle", "list-poset",
+        "float-facet-vertex", "float-facet-vertex-arrangement", "bool-facet-vertex",
+        "facet-vertex-past-n-arrangement", "negative-nonface-vertex",
+        "str-nonface-vertex-arrangement", "int-nonface",
+    ],
 )
 def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):
     code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache", *flags)
@@ -210,14 +227,15 @@ def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):
     run_cli(capsys, "compute", "12", "6")
     path = tmp_cache / "complex-n12-l6-v1.json"
     entry = json.loads(path.read_bytes())
-    entry["payload"].update(damage)
+    damage(entry["payload"])
     path.write_text(json.dumps(entry))
 
     code, out, err = run_cli(capsys, "compute", "12", "6", *flags)
     assert code == 0, err
     assert out == reference
     payload = json.loads(path.read_bytes())["payload"]  # rewritten
-    assert set(payload["complex"]) == cli.COMPLEX_KEYS
+    printed = json.loads(reference)
+    assert payload["complex"] == {key: printed[key] for key in cli.COMPLEX_KEYS}
     assert not isinstance(payload.get("poset"), list)
 
 

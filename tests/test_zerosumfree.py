@@ -8,7 +8,7 @@ import math
 import pytest
 
 import zsumfree.zerosumfree as zsf
-from zsumfree.complexes import CapacityError, minimal_nonfaces_of_complex
+from zsumfree.complexes import CapacityError, faces_by_dimension, minimal_nonfaces_of_complex
 from zsumfree.zerosumfree import (
     ZsfParams,
     brute_force_complex,
@@ -310,3 +310,77 @@ def test_packed_unit_images_at_their_widest(monkeypatch):
                     if family is facets:  # one maximality check per orbit
                         assert is_face(p, s), (n, ell, s)
                         assert not any(is_face(p, s | {v}) for v in range(1, n) if v not in s), (n, ell, s)
+
+
+# ---------------------------------------------------------------------------
+# f-vector from the minimal non-faces
+
+
+def test_unit_table_is_built_once_per_n_and_immutable():
+    table = zsf._unit_table(24)
+    assert zsf._unit_table(24) is table
+    img, self_bits, _, offsets = table
+    assert type(img) is tuple and type(self_bits) is tuple
+    assert len(img) == len(self_bits) == 24 and len(offsets) == 7  # units 5, 7, ..., 23
+
+
+def test_f_vector_matches_the_recursion_up_to_n24():
+    # `None` forces the orbit count where the selection would fall back
+    for n in range(2, 25):
+        for ell in range(1, n):
+            p = ZsfParams(n, ell)
+            c = build_complex(p)
+            mnf = minimal_nonfaces(p)
+            f = faces_by_dimension(c)
+            assert zsf._f_vector(p, mnf, c) == f, (n, ell)
+            assert zsf._f_vector(p, mnf, None) == f, (n, ell)
+
+
+def test_f_vector_matches_the_recursion_past_the_oracle(monkeypatch):
+    # every uncapped Δ_{n,ℓ} with 25 ≤ n ≤ 32 and ℓ ≤ 8 (about 3 s), where both
+    # sides of the selection occur: the orbit count on Δ_{28,3}, the
+    # recursion on Δ_{32,7}; larger ℓ would add mostly walk time
+    fell_back = []
+
+    def recursion(c):
+        fell_back.append(c)
+        return faces_by_dimension(c)
+
+    monkeypatch.setattr(zsf, "faces_by_dimension", recursion)
+    for n in range(25, 33):
+        for ell in range(1, 9):
+            p = ZsfParams(n, ell)
+            try:
+                c = build_complex(p)
+            except CapacityError:
+                continue
+            fell_back.clear()
+            assert zsf._f_vector(p, minimal_nonfaces(p), c) == faces_by_dimension(c), (n, ell)
+            if (n, ell) in ((28, 3), (32, 7)):
+                assert fell_back == ([c] if ell == 7 else []), (n, ell)
+
+
+def test_f_vector_closed_forms_past_the_facet_cap(monkeypatch):
+    # Δ_{n,1} is the simplex on 1..n-1 and Δ_{n,2} the join of the pairs
+    # {a, -a}: the non-faces alone give them, with no complex and no orbit
+    # search (so no unit table), up to n = 64
+    cases = [(ZsfParams(n, ell), minimal_nonfaces(ZsfParams(n, ell))) for n in range(3, 65) for ell in (1, 2)]
+    monkeypatch.setattr(zsf, "_unit_table", None)
+    for p, mnf in cases:
+        if p.ell == 1:
+            expected = [math.comb(p.n - 1, k) for k in range(p.n)]
+        else:
+            pairs = (p.n - 1) // 2
+            expected = [math.comb(pairs, k) << k for k in range(pairs + 1)]
+        assert zsf._f_vector(p, mnf, None) == expected, (p.n, p.ell)
+
+
+@pytest.mark.parametrize("n", [24, 29, 30, 31])
+def test_orbit_weights_with_nontrivial_stabilizers(n):
+    # At odd ℓ the face {1, n-1} is fixed by the unit -1, so the orbit count
+    # weighs faces with non-trivial stabilizers (the empty face aside).
+    for ell in (5, 7, 9, 13):
+        p = ZsfParams(n, ell)
+        c = build_complex(p)
+        assert is_face(p, {1, n - 1}), (n, ell)
+        assert zsf._f_vector(p, minimal_nonfaces(p), None) == faces_by_dimension(c), (n, ell)
