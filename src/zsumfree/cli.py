@@ -17,12 +17,11 @@ Exit codes: 0 ok, 2 invalid parameters, 3 oracle or family mismatch,
 4 capacity exceeded, 5 conjecture counterexample found.
 
 Artifacts are cached under $ZSF_CACHE_DIR (default ~/.cache/zsumfree), keyed
-by (n, ℓ, artifact version); cached payloads are byte-stable.  Each entry
-also records a `created_at` timestamp beside its payload, which is written
-but never read.  Bumping the artifact version invalidates old entries.  A cache
-that cannot be read or written never fails a command: an unreadable entry is
-a miss, and a failed write prints a one-line warning to stderr and leaves
-stdout and the exit code as with --no-cache.
+by (n, ℓ, artifact version); cached payloads are byte-stable.  Bumping the
+artifact version invalidates old entries.  A cache that cannot be read or
+written never fails a command: an unreadable entry is a miss, and a failed
+write prints a one-line warning to stderr and leaves stdout and the exit
+code as with --no-cache.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import json
 import os
 import sys
 import tempfile
-from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -139,10 +137,12 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def load_cached_payload(n: int, ell: int) -> dict | None:
     """The cached payload for (n, ℓ), or None when the entry is missing, stale
-    or malformed; None means recompute.  Only the shape is checked: `complex`
-    must hold exactly the keys `_complex_payload` writes, with `facets` and
-    `min_nonfaces` lists of lists of ints in 0..n-1, and a `poset`, if
-    present, must be a dict with `char_poly`."""
+    or malformed; None means recompute.  Only the shape and the types are
+    checked: `complex` must hold exactly the keys `_complex_payload` writes,
+    with `facets` and `min_nonfaces` lists of lists of ints in 0..n-1,
+    `f_vector` and `h_vector` lists of ints, `pure` and `connected` bools and
+    `decomposition` null or a list of ints, and a `poset`, if present, must
+    be a dict with `char_poly`."""
     path = _cache_path(n, ell)
     try:
         entry = json.loads(path.read_text())
@@ -157,14 +157,21 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
     complex_ = payload.get("complex")
     if not isinstance(complex_, dict) or complex_.keys() != COMPLEX_KEYS:
         return None
+    if {type(complex_["pure"]), type(complex_["connected"])} != {bool}:
+        return None
+    decomposition = complex_["decomposition"]
+    counts = [complex_["f_vector"], complex_["h_vector"], [] if decomposition is None else decomposition]
+    if set(map(type, counts)) != {list}:
+        return None
     vertices = []
     for key in ("facets", "min_nonfaces"):
         sets = complex_[key]
         if not isinstance(sets, list) or set(map(type, sets)) - {list}:
             return None
         vertices += chain.from_iterable(sets)
-    # one C-level pass over the types (a bool or float is no vertex), then the range
-    if set(map(type, vertices)) - {int} or (vertices and not 0 <= min(vertices) <= max(vertices) < n):
+    # one C-level pass over the types (a bool or float is no vertex and no
+    # count), then the range of the vertices
+    if set(map(type, chain(vertices, *counts))) - {int} or (vertices and not 0 <= min(vertices) <= max(vertices) < n):
         return None
     poset = payload.get("poset", {"char_poly": None})
     if not isinstance(poset, dict) or "char_poly" not in poset:
@@ -175,7 +182,6 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
 def store_payload(n: int, ell: int, payload: dict) -> None:
     entry = {
         "key": {"n": n, "ell": ell, "version": ARTIFACT_VERSION},
-        "created_at": datetime.now(timezone.utc).isoformat(),
         "payload": payload,
     }
     data = json.dumps(entry, sort_keys=True, separators=(",", ":")).encode()

@@ -10,7 +10,8 @@ constructions are provided:
   the facets are the maximal sets containing none of them.
 * ``brute_force_complex`` — a scan of every subset of 1..n-1 (vertex 0 is
   in no face) with the reachability face test, as a subset dynamic program
-  in O(ℓ·2^{n-1}); kept as the ground-truth oracle (n ≤ 24).
+  on Python ints, one bitset over the subsets per residue, in O(ℓ·n·2^{n-1})
+  bit operations; kept as the ground-truth oracle (n ≤ 24).
 """
 
 from __future__ import annotations
@@ -444,40 +445,62 @@ def _times(a: list[int], b: list[int]) -> list[int]:
 def brute_force_complex(params: ZsfParams) -> SimplicialComplex:
     """Δ_{n,ℓ} by scanning every subset with the face test (oracle, n ≤ 24).
 
-    Vertex 0 is in no face (ℓ copies of 0 sum to 0), so the table covers the
-    2^{n-1} subsets of 1..n-1, bit j standing for vertex j+1, and holds the
-    reach layers of `is_face` as residue masks.  A sum of t elements of
-    T = S ∪ {v}, v its top vertex, avoids v or is v plus a sum of t-1
-    elements of T: R_t(T) = R_t(S) | rot(R_{t-1}(T), v).  The subsets with
-    top vertex v form one contiguous block right after the block of their S,
-    so sweeping v upward updates a layer in place with slice operations:
-    O(ℓ·2^{n-1}) work in all.  A face is maximal when no one-larger set is
-    a face; strided views pair each subset without v with its partner.
-    """
-    import numpy as np
+    Vertex 0 is in no face (ℓ copies of 0 sum to 0), so the scan covers the
+    2^{n-1} subsets of 1..n-1: subset i holds vertex j+1 when bit j of i is
+    set.  The reach layers of `is_face` are kept transposed, as one Python
+    int per residue r and layer t whose bit i is set iff r is a sum of
+    exactly t elements of subset i.  A sum of t elements of T = S ∪ {v}, v
+    its top vertex, avoids v or is v plus a sum of t-1 elements of T:
+    R_t(T) = R_t(S) ∪ (v + R_{t-1}(T)), the recurrence the reach layers
+    follow.  The subsets with top vertex v are the block of indices
+    [2^{v-1}, 2^v), and S is T's index minus 2^{v-1}, so for residue r
 
+        block v of layer t = (layer t over the blocks below v)
+                             | (block v of layer t-1 for r - v mod n),
+
+    one OR of 2^{v-1} bits, and the blocks below v + 1 follow by one shift.
+    Each layer is kept as its blocks, so none is cut out of a larger int,
+    and the last layer needs residue 0 only: O(ℓ·n·2^{n-1}) bit operations
+    in all, each OR and shift running over whole int digits in C.
+
+    The faces are the complement of the residue-0 int.  A face is maximal
+    when no one-larger set is a face: with keep_j the subsets without vertex
+    j+1, `face >> 2^j & keep_j` marks each such subset whose partner with
+    j+1 is a face.  keep_{n-2} is the low half, and each keep_j follows from
+    keep_{j+1} by one shift and xor (0x0F, 0x33, 0x55 on three vertices).
+    The facets are decoded from the set bits of the unmarked faces by a
+    string search, one Python step per facet.
+    """
     n, ell = params.n, params.ell
     if n > BRUTE_FORCE_CAP:
         raise CapacityError(f"brute_force_complex supports n ≤ {BRUTE_FORCE_CAP}, got {n}")
-    size = 1 << (n - 1)
-    reach = np.ones(size, dtype=np.uint32)  # R_0 = {0} for every subset
-    spare = np.empty(size // 2, dtype=np.uint32)
-    full = (1 << n) - 1
-    for _ in range(ell):
-        reach[0] = 0  # the empty set has no sums of t ≥ 1 elements
-        for v in range(1, n):
-            lo = 1 << (v - 1)
-            block, rot = reach[lo:2 * lo], spare[:lo]
-            np.left_shift(block, v, out=rot)
-            np.right_shift(block, n - v, out=block)
-            np.bitwise_or(block, rot, out=block)
-            np.bitwise_and(block, full, out=block)
-            np.bitwise_or(block, reach[:lo], out=block)
-    face = np.bitwise_and(reach, 1, out=reach) == 0
-    del reach, spare  # only the face bits are needed from here
-    maximal = face.copy()
-    for j in range(n - 1):
-        pairs = (-1, 2, 1 << j)
-        maximal.reshape(pairs)[:, 0, :] &= ~face.reshape(pairs)[:, 1, :]
-    facets = [frozenset(_vertices_of(int(i) << 1)) for i in np.flatnonzero(maximal)]
+    half = 1 << (n - 2)  # the size of the top block, that of vertex n-1
+    # layer[r][v - 1] is block v for residue r; R_0 = {0} for every subset
+    layer = [[(1 << (1 << (v - 1))) - 1 for v in range(1, n)]]
+    layer += [[0] * (n - 1) for _ in range(1, n)]
+    for t in range(1, ell + 1):
+        nxt = []
+        for r in range(n) if t < ell else (0,):
+            below, blocks = 0, []  # the empty set has no sums of t ≥ 1 elements
+            for v in range(1, n):
+                block = below | layer[(r - v) % n][v - 1]
+                blocks.append(block)
+                if v < n - 1:
+                    below |= block << (1 << (v - 1))
+            nxt.append(blocks)
+        layer = nxt
+    zero = below | blocks[-1] << half  # residue 0 of layer ell, every block
+    face = ~zero & ((1 << (2 * half)) - 1)
+    keep = (1 << half) - 1  # keep_j, the subsets without vertex j+1
+    marked = 0
+    for j in range(n - 2, -1, -1):
+        marked |= face >> (1 << j) & keep
+        if j:
+            keep ^= keep << (1 << (j - 1))
+    bits = bin(face & ~marked)[:1:-1]  # bit i at index i
+    facets = []
+    i = bits.find("1")
+    while i >= 0:
+        facets.append(frozenset(_vertices_of(i << 1)))
+        i = bits.find("1", i + 1)
     return SimplicialComplex(range(n), facets)

@@ -122,12 +122,20 @@ def test_cache_roundtrip_byte_identical(capsys, tmp_cache):
     before = (tmp_cache / files[0]).read_bytes()
     entry = json.loads(before)
     assert entry["key"] == {"n": 9, "ell": 8, "version": "1"}
-    assert set(entry) == {"key", "created_at", "payload"}
+    assert set(entry) == {"key", "payload"}
 
     code, second, _ = run_cli(capsys, "compute", "9", "8")
     assert code == 0
     assert second == first
     assert (tmp_cache / files[0]).read_bytes() == before  # hit does not rewrite
+
+    # an entry written when the cache still stamped `created_at` is a hit too
+    older = json.dumps(dict(entry, created_at="2024-01-01T00:00:00+00:00")).encode()
+    (tmp_cache / files[0]).write_bytes(older)
+    code, third, _ = run_cli(capsys, "compute", "9", "8")
+    assert code == 0
+    assert third == first
+    assert (tmp_cache / files[0]).read_bytes() == older
 
 
 def test_cache_lazy_poset_upgrade(capsys, tmp_cache):
@@ -200,6 +208,13 @@ def _set_vertex(key, value):
     return lambda payload: payload["complex"][key][0].__setitem__(0, value)
 
 
+def _set_value(key, value, index=None):
+    """Damage: overwrite `complex[key]`, or its item at `index`."""
+    if index is None:
+        return lambda payload: payload["complex"].__setitem__(key, value)
+    return lambda payload: payload["complex"][key].__setitem__(index, value)
+
+
 @pytest.mark.parametrize(
     "damage, flags",
     [
@@ -213,12 +228,24 @@ def _set_vertex(key, value):
         (_set_vertex("min_nonfaces", -1), []),
         (_set_vertex("min_nonfaces", "0"), ["--arrangement"]),
         (lambda payload: payload["complex"]["min_nonfaces"].append(3), []),
+        (_set_value("f_vector", 6.5, 1), []),
+        (_set_value("f_vector", "1,6,6,2"), []),
+        (_set_value("h_vector", True, 0), ["--arrangement"]),
+        (_set_value("h_vector", None), []),
+        (_set_value("pure", "yes"), []),
+        (_set_value("connected", 0), ["--arrangement"]),
+        (_set_value("decomposition", 3.0, 0), []),
+        (_set_value("decomposition", "(3,3)"), []),
+        (_set_value("decomposition", False), []),
     ],
     ids=[
         "empty-complex", "empty-complex-oracle", "list-poset",
         "float-facet-vertex", "float-facet-vertex-arrangement", "bool-facet-vertex",
         "facet-vertex-past-n-arrangement", "negative-nonface-vertex",
         "str-nonface-vertex-arrangement", "int-nonface",
+        "float-f-vector-entry", "str-f-vector", "bool-h-vector-entry-arrangement",
+        "null-h-vector", "str-pure", "int-connected-arrangement",
+        "float-decomposition-part", "str-decomposition", "false-decomposition",
     ],
 )
 def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):
@@ -464,7 +491,7 @@ def test_stdout_determinism_across_fresh_caches(capsys, tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-def test_module_invocation_subprocess(tmp_path):
+def test_module_invocation_subprocess(capsys, tmp_path):
     # the child imports the package from the tree this suite tests
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -482,13 +509,24 @@ def test_module_invocation_subprocess(tmp_path):
     )
     assert proc.returncode == 2
 
+    # the package needs no numpy, the oracle included: block its import in the child
+    no_numpy = "import sys; sys.modules['numpy'] = None; from zsumfree.cli import main; sys.exit(main())"
+    for argv in (["compute", "12", "6", "--oracle", "--no-cache"], ["family", "doubling", "--rho", "3", "--m", "0"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", no_numpy, *argv], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and proc.stdout == out
+
 
 def test_console_script_installed(tmp_path):
     """Installing the project yields a working ``zsumfree`` executable.
 
     The install goes into a fresh venv from a copy of the project, so the
     source tree stays untouched. ``develop --no-deps`` needs only setuptools
-    (no ``wheel``, no index); the venv sees numpy through the system site.
+    (no ``wheel``, no index); the venv takes only setuptools from the system
+    site, since the package has no dependencies.
     """
     import shutil
     import venv

@@ -178,11 +178,15 @@ def test_oracle_equivalence_small_sweep():
             assert set(build_complex(p).facets) == set(brute_force_complex(p).facets), (n, ell)
 
 
+# past the full sweep: both ends of n = 23 and 24, the middle of n = 24, and
+# Δ_{24,2}, whose 2048 facets exercise the oracle's facet decoder
+PAST_N22 = [(23, 2), (23, 22), (24, 2), (24, 12), (24, 23)]
+
+
 def test_oracle_equivalence_n13_to_n22():
-    for n in range(13, 23):
-        for ell in range(1, n):
-            p = ZsfParams(n, ell)
-            assert set(build_complex(p).facets) == set(brute_force_complex(p).facets), (n, ell)
+    for n, ell in [(n, ell) for n in range(13, 23) for ell in range(1, n)] + PAST_N22:
+        p = ZsfParams(n, ell)
+        assert set(build_complex(p).facets) == set(brute_force_complex(p).facets), (n, ell)
 
 
 def test_oracle_matches_its_definition():
