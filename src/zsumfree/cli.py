@@ -40,6 +40,8 @@ from .arrangements import build_poset
 from .complexes import (
     CapacityError,
     SimplicialComplex,
+    _mask_of,
+    _vertices_of,
     decompose_disjoint_simplices,
     f_to_h,
     is_connected,
@@ -59,6 +61,8 @@ from .zerosumfree import (
 ARTIFACT_VERSION = "1"
 # the keys `_complex_payload` writes; a cached complex with any other set is a miss
 COMPLEX_KEYS = {"facets", "min_nonfaces", "f_vector", "h_vector", "pure", "connected", "decomposition"}
+# the keys `IntersectionPoset.to_json` writes; a cached poset with any other set is a miss
+POSET_KEYS = {"elements", "hasse", "graded", "rank", "char_poly"}
 TABLE_N_MAX_CAP = 24
 
 EXIT_OK = 0
@@ -142,7 +146,9 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
     with `facets` and `min_nonfaces` lists of lists of ints in 0..n-1,
     `f_vector` and `h_vector` lists of ints, `pure` and `connected` bools and
     `decomposition` null or a list of ints, and a `poset`, if present, must
-    be a dict with `char_poly`."""
+    hold exactly the keys `IntersectionPoset.to_json` writes, with
+    `char_poly` a list of ints, `graded` a bool, `rank` an int or null,
+    `hasse` a list of int pairs and `elements` a list of dicts."""
     path = _cache_path(n, ell)
     try:
         entry = json.loads(path.read_text())
@@ -173,8 +179,17 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
     # count), then the range of the vertices
     if set(map(type, chain(vertices, *counts))) - {int} or (vertices and not 0 <= min(vertices) <= max(vertices) < n):
         return None
-    poset = payload.get("poset", {"char_poly": None})
-    if not isinstance(poset, dict) or "char_poly" not in poset:
+    if "poset" not in payload:
+        return payload
+    poset = payload["poset"]
+    if not isinstance(poset, dict) or poset.keys() != POSET_KEYS:
+        return None
+    char_poly, hasse, elements = poset["char_poly"], poset["hasse"], poset["elements"]
+    if {type(char_poly), type(hasse), type(elements)} != {list} or type(poset["graded"]) is not bool:
+        return None
+    if set(map(type, hasse)) - {list} or set(map(len, hasse)) - {2} or set(map(type, elements)) - {dict}:
+        return None
+    if set(map(type, chain(char_poly, *hasse))) - {int} or type(poset["rank"]) not in (int, type(None)):
         return None
     return payload
 
@@ -198,8 +213,8 @@ def _complex_payload(params: ZsfParams) -> dict:
     f = _f_vector(params, mnf, c)
     decomposition = decompose_disjoint_simplices(c)
     return {
-        "facets": [sorted(facet) for facet in c.facets],
-        "min_nonfaces": [sorted(s) for s in mnf],
+        "facets": [list(_vertices_of(m)) for m in c._facet_masks],
+        "min_nonfaces": [list(_vertices_of(m)) for m in mnf],
         "f_vector": f,
         "h_vector": f_to_h(f),
         "pure": is_pure(c),
@@ -221,8 +236,8 @@ def cmd_compute(args) -> int:
         payload = {"complex": _complex_payload(params)}
         dirty = True
     if args.arrangement and "poset" not in payload:
-        facets = [frozenset(f) for f in payload["complex"]["facets"]]
-        c = SimplicialComplex(range(params.n), facets)
+        facets = [_mask_of(f) for f in payload["complex"]["facets"]]
+        c = SimplicialComplex.from_masks((1 << params.n) - 1, facets)
         payload["poset"] = build_poset(c).to_json()
         dirty = True
     if use_cache and dirty:
@@ -234,8 +249,8 @@ def cmd_compute(args) -> int:
     # the oracle runs before anything is printed, so a capacity error leaves stdout empty
     agrees = True
     if args.oracle:
-        oracle_facets = {tuple(sorted(f)) for f in brute_force_complex(params).facets}
-        agrees = oracle_facets == {tuple(f) for f in payload["complex"]["facets"]}
+        oracle_facets = set(brute_force_complex(params)._facet_masks)
+        agrees = oracle_facets == set(map(_mask_of, payload["complex"]["facets"]))
 
     out = {"n": params.n, "ell": params.ell}
     out.update(payload["complex"])
@@ -303,7 +318,7 @@ def table_rows(n_max: int) -> list[str]:
             c = build_complex(ZsfParams(n, ell))
             pure = "yes" if is_pure(c) else "no"
             conn = "yes" if is_connected(c) else "no"
-            count = len(c.facets)
+            count = len(c._facet_masks)
             noun = "facet" if count == 1 else "facets"
             dec = _decomposition_text(decompose_disjoint_simplices(c))
             rows.append(

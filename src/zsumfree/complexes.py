@@ -1,14 +1,16 @@
 """Simplicial complexes on small integer vertex sets.
 
 A complex is stored by its facets (inclusion-maximal faces).  Vertices are
-nonnegative integers below 64, so faces travel as bit masks internally.
-Every complex contains the empty face; the void complex is ``{∅}`` with the
-single facet ``frozenset()``.
+nonnegative integers below 64, so every face is a bit mask, bit v standing
+for vertex v: a complex keeps its facet masks and decodes them into
+frozensets only when `facets` is first read, and the minimal non-faces are
+returned as masks.  Every complex contains the empty face; the void complex
+is ``{∅}`` with the single facet ``frozenset()``.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, zip_longest
 from operator import and_, or_
 
@@ -35,14 +37,24 @@ def _check_vertices(vertices) -> None:
         raise ValueError(f"vertices must be ints, got {names}")
 
 
+def _byte_vertices(j: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the vertices 8j + i for the set bits i of byte b, ascending;
+    each bit doubles the table, so it costs one tuple per entry."""
+    table = [()]
+    for v in range(8 * j, 8 * j + 8):
+        table += [t + (v,) for t in table]
+    return tuple(table)
+
+
+_BYTE_VERTICES = tuple(map(_byte_vertices, range(8)))
+
+
 def _vertices_of(mask: int) -> tuple[int, ...]:
-    """The set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """The set bits of `mask`, ascending; 0 ≤ mask < 2^64 (else OverflowError).
+    One table lookup per byte."""
+    t, b = _BYTE_VERTICES, mask.to_bytes(8, "little")
+    low = t[0][b[0]] + t[1][b[1]] + t[2][b[2]] + t[3][b[3]]
+    return low + t[4][b[4]] + t[5][b[5]] + t[6][b[6]] + t[7][b[7]] if mask >> 32 else low
 
 
 def _minimal_masks(masks) -> list[int]:
@@ -54,61 +66,108 @@ def _minimal_masks(masks) -> list[int]:
     return kept
 
 
+def _sorted_sets(masks) -> list[int]:
+    """Distinct vertex masks by size, then by ascending vertex tuple.
+
+    Of two distinct sets of one size, the one holding the lowest bit of
+    a ^ b has the smaller vertex tuple, and that bit is the first place
+    where their reversed binary strings differ."""
+    return sorted(masks, key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+
+
 class SimplicialComplex:
-    """A finite simplicial complex, given by ground set and facets."""
+    """A finite simplicial complex, given by ground set and facets.
+
+    The facets are held as vertex bit masks (bit v for vertex v) in
+    `_facet_masks`, sorted by ascending vertex list; `facets` is the same
+    list as a tuple of frozensets, decoded on first access, and `ground` the
+    ground set, decoded likewise.  The constructor takes iterables of
+    vertices; `from_masks` takes the masks themselves.  Both validate, sort
+    and store through one core, so they refuse the same complexes.
+    """
 
     def __init__(self, ground, facets):
-        self.ground = frozenset(ground)
-        _check_vertices(self.ground)
-        if any(v < 0 or v > 63 for v in self.ground):
+        ground = frozenset(ground)
+        _check_vertices(ground)
+        if any(v < 0 or v > 63 for v in ground):
             raise ValueError("vertices must be integers in 0..63")
         facets = [frozenset(f) for f in facets]
-        if not facets:
-            raise ValueError("a complex needs at least one facet (use {frozenset()} for the void complex)")
         _check_vertices(chain.from_iterable(facets))
         for f in facets:
-            if not f <= self.ground:
+            if not f <= ground:
                 raise ValueError(f"facet {sorted(f)} is not a subset of the ground set")
-        facets.sort(key=sorted)
-        masks = [_mask_of(f) for f in facets]
+        self._store(_mask_of(ground), [_mask_of(f) for f in facets])
+
+    @classmethod
+    def from_masks(cls, ground: int, facets: list[int]) -> SimplicialComplex:
+        """The complex on the vertices of mask `ground` with facet masks `facets`."""
+        c = cls.__new__(cls)
+        c._store(ground, facets)
+        return c
+
+    def _store(self, ground: int, masks: list[int]) -> None:
+        if set(map(type, masks)) | {type(ground)} != {int}:
+            raise ValueError("vertex masks must be ints")
+        if not 0 <= ground < 1 << 64:
+            raise ValueError("vertices must be integers in 0..63")
+        if not masks:
+            raise ValueError("a complex needs at least one facet (use {frozenset()} for the void complex)")
+        for m in masks:
+            if m & ~ground:
+                if m < 0 or m >> 64:
+                    raise ValueError("vertices must be integers in 0..63")
+                raise ValueError(f"facet {list(_vertices_of(m))} is not a subset of the ground set")
+        masks = sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
         if len(set(masks)) != len(masks):
             raise ValueError("facets must be distinct")
-        # holders[v] has bit i set when facet i contains v; facet i lies in
-        # another facet exactly when the facets holding all its vertices
-        # are more than i alone
-        holders = [0] * 64
-        for i, f in enumerate(facets):
-            for v in f:
-                holders[v] |= 1 << i
-        everyone = (1 << len(facets)) - 1
-        for i, f in enumerate(facets):
-            common = everyone
-            for v in f:
-                common &= holders[v]
-            if common != 1 << i:
-                raise ValueError("facets must be pairwise inclusion-incomparable")
-        self.facets = tuple(facets)
+        # only a facet smaller than the largest can lie in another one
+        sizes = list(map(int.bit_count, masks))
+        top = max(sizes)
+        smaller = [i for i, size in enumerate(sizes) if size < top]
+        if smaller:
+            # holders[v] has bit i set when facet i contains v, read off the
+            # columns of the masks' binary strings (each padded to one width
+            # by a top bit, last facet first); facet i lies in another facet
+            # exactly when the facets holding all its vertices are more than
+            # i alone
+            width = ground.bit_length()
+            pad = 1 << width
+            columns = list(zip(*map(bin, map(pad.__or__, reversed(masks)))))
+            holders = [int("".join(columns[2 + width - v]), 2) for v in range(width)]
+            everyone = (1 << len(masks)) - 1
+            for i in smaller:
+                if reduce(and_, map(holders.__getitem__, _vertices_of(masks[i])), everyone) != 1 << i:
+                    raise ValueError("facets must be pairwise inclusion-incomparable")
+        self._ground_mask = ground
         self._facet_masks = masks
+
+    @cached_property
+    def ground(self) -> frozenset:
+        return frozenset(_vertices_of(self._ground_mask))
+
+    @cached_property
+    def facets(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(_vertices_of(m)) for m in self._facet_masks)
 
     def dim(self) -> int:
         """Dimension: largest facet size minus one (-1 for the void complex)."""
-        return max(len(f) for f in self.facets) - 1
+        return max(map(int.bit_count, self._facet_masks)) - 1
 
     def supported_vertices(self) -> frozenset:
         """Vertices that occur in some facet."""
-        return frozenset().union(*self.facets)
+        return frozenset(_vertices_of(reduce(or_, self._facet_masks)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.ground == other.ground and set(self.facets) == set(other.facets)
+        return self._ground_mask == other._ground_mask and self._facet_masks == other._facet_masks
 
     def __hash__(self):
-        return hash((self.ground, frozenset(self.facets)))
+        return hash((self._ground_mask, *self._facet_masks))
 
     def __repr__(self) -> str:
-        facets = ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets)
-        return f"SimplicialComplex(ground=0..{max(self.ground, default=-1)}, facets=[{facets}])"
+        facets = ", ".join("{" + ",".join(map(str, _vertices_of(m))) + "}" for m in self._facet_masks)
+        return f"SimplicialComplex(ground=0..{self._ground_mask.bit_length() - 1}, facets=[{facets}])"
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +291,13 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
     return trans
 
 
-def minimal_nonfaces_of_complex(c: SimplicialComplex) -> list[frozenset]:
-    """Inclusion-minimal non-faces: minimal sets hitting every facet complement."""
-    ground_mask = _mask_of(c.ground)
-    edges = [ground_mask ^ m for m in c._facet_masks]
+def minimal_nonfaces_of_complex(c: SimplicialComplex) -> list[int]:
+    """Inclusion-minimal non-faces, as vertex masks in the order of
+    `minimal_nonfaces`: minimal sets hitting every facet complement."""
+    edges = [c._ground_mask ^ m for m in c._facet_masks]
     if any(e == 0 for e in edges):
         return []
-    masks = _minimal_transversals(edges)
-    return [frozenset(_vertices_of(m)) for m in sorted(masks, key=lambda m: (m.bit_count(), _vertices_of(m)))]
+    return _sorted_sets(_minimal_transversals(edges))
 
 
 def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
@@ -252,9 +310,7 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     mnf = minimal_nonfaces_of_complex(c)
     if not mnf:
         raise ValueError("the full simplex has an empty Alexander dual, which is not a complex")
-    ground_mask = _mask_of(c.ground)
-    facets = [frozenset(_vertices_of(ground_mask ^ _mask_of(m))) for m in mnf]
-    return SimplicialComplex(c.ground, facets)
+    return SimplicialComplex.from_masks(c._ground_mask, [c._ground_mask ^ m for m in mnf])
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +318,7 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
 
 def is_pure(c: SimplicialComplex) -> bool:
     """True when every facet has the same dimension."""
-    return len({len(f) for f in c.facets}) <= 1
+    return len(set(map(int.bit_count, c._facet_masks))) <= 1
 
 
 def is_connected(c: SimplicialComplex) -> bool:
@@ -281,7 +337,7 @@ def is_connected(c: SimplicialComplex) -> bool:
 
 def isolated_vertices(c: SimplicialComplex) -> list[int]:
     """Vertices lying in no edge, i.e. vertices that are themselves facets."""
-    return sorted(v for f in c.facets if len(f) == 1 for v in f)
+    return sorted(m.bit_length() - 1 for m in c._facet_masks if m and not m & (m - 1))
 
 
 def decompose_disjoint_simplices(c: SimplicialComplex):

@@ -212,7 +212,7 @@ def expected_rank(spec: FamilySpec) -> int:
     """Poset rank the family is expected to have (1 for a lone facet)."""
     if spec.kind == "arms-legs" and spec.s in (1, 3):
         return 3
-    return 1 if len(family_facets(spec).facets) == 1 else 2
+    return 1 if len(family_facets(spec)._facet_masks) == 1 else 2
 
 
 def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
@@ -227,14 +227,14 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
     params = ZsfParams(spec.n, spec.ell)
     closed = family_facets(spec)
     computed = build_complex(params)
-    facets_match = set(closed.facets) == set(computed.facets)
+    facets_match = closed == computed
     notes: list[str] = []
 
     if oracle is None:
         oracle = spec.n <= BRUTE_FORCE_CAP
     oracle_match = None
     if oracle:
-        oracle_match = set(brute_force_complex(params).facets) == set(computed.facets)
+        oracle_match = brute_force_complex(params) == computed
         notes.append(
             "brute-force oracle agrees with the pipeline"
             if oracle_match

@@ -26,6 +26,7 @@ from .complexes import (
     SimplicialComplex,
     _check_vertices,
     _mask_of,
+    _sorted_sets,
     _vertices_of,
     faces_by_dimension,
 )
@@ -118,8 +119,21 @@ def _unit_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, range]:
     return img, tuple(spread << v for v in range(n)), spread << n, offsets
 
 
-def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
-    """Inclusion-minimal sets among the zero-padded NLC supports.
+@cache
+def _reach_table(n: int, ell: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(SHIFTS, ZERO) for the packed reach layers of `minimal_nonfaces`,
+    built once per (n, ℓ).  SHIFTS[v] are the shifts k·v mod n + 2n·k of the
+    doubling steps, k = 1, 2, 4, ... ≤ ℓ (⌈log₂(ℓ+1)⌉ of them); ZERO[v] has
+    bit 2n·(ℓ-k) + (-k·v mod n) set for every 0 ≤ k ≤ ℓ."""
+    steps = [1 << j for j in range(ell.bit_length())]
+    shifts = tuple(tuple(k * v % n + 2 * n * k for k in steps) for v in range(n))
+    zero = tuple(sum(1 << (2 * n * (ell - k) + -k * v % n) for k in range(ell + 1)) for v in range(n))
+    return shifts, zero
+
+
+def minimal_nonfaces(params: ZsfParams) -> list[int]:
+    """Inclusion-minimal sets among the zero-padded NLC supports, as vertex
+    masks (bit v for vertex v) by size, then by ascending vertex tuple.
 
     These are exactly the minimal non-faces of Δ_{n,ℓ}.  {0} is always one
     (the all-zero multiset), and it absorbs every padded support, so the rest
@@ -127,8 +141,26 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     `ell` parts ≤ n-1.  Those are searched support-first: a depth-first walk
     over the faces in 1..n-1 of size < ell, reusing the reachability layers
     of `is_face` and pruning every branch that already contains a non-face.
-    Each child costs O(ell) big-int shifts (its layers follow from the
-    parent's by one recurrence).
+
+    A node's ℓ + 1 reach layers R_0..R_ℓ (R_t the residues that are sums of
+    exactly t of its elements) are packed in one int: field t is 2n bits
+    wide and holds R_t in its low n bits, so LOW, the low n bits of every
+    field, masks a packed value.  The child adding v has layers
+    C_t = R_t ∪ (v + C_{t-1}), C_0 = R_0 = {0}: C = R | T(C), where T moves
+    every layer up one field and adds v.  Adding v to an n-bit layer is a
+    rotation: shift it up by v inside its 2n-bit field, then fold the high
+    half onto the low one, (y | y >> n) & LOW; the shift up by 2n·k moves it
+    k fields on, and the mask drops what passes field ℓ.  So
+    T^k(X) = fold(X << (k·v mod n + 2n·k)).  T is an OR homomorphism with
+    T^{ℓ+1} = 0, so the fixed point is C = (1 | T | T² | ... | T^ℓ)(R), and
+    doubling builds it: after c |= T^k(c) for k = 1, 2, ..., 2^{j-1},
+    c = (1 | T | ... | T^{2^j - 1})(R): ⌈log₂(ℓ+1)⌉ steps of a few whole-int
+    operations each, with the shifts precomputed per (n, ℓ)
+    (`_reach_table`).  The child is a
+    non-face iff residue 0 is in C_ℓ, bit 2n·ℓ of C.  That bit needs no C:
+    field ℓ of T^k(R) is R_{ℓ-k} + k·v, so 0 ∈ C_ℓ iff -k·v mod n ∈ R_{ℓ-k}
+    for some 0 ≤ k ≤ ℓ, that is iff R meets ZERO[v], one AND.  So C is built
+    only for the face children that the walk enters.
 
     Multiplying by a unit u of Z/n permutes the faces and the non-faces, so
     the walk is an orderly generation (Read 1978) over the (Z/n)^× orbits:
@@ -153,7 +185,8 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     is set iff (S + 2^n) - u·S ≥ 2^n, that is iff u·S ≤ S.  All guard bits
     are set iff max(u·S) ≤ S.  The fields are unpacked only where single
     masks are needed: into `visited` and for the orbits of the minimal
-    candidates.
+    candidates.  The result is sorted as masks (`_sorted_sets`), with no
+    decoding.
 
     Every node and its images are recorded, so the visited set is every face
     of size < ell.  A non-face child has at most `ell` elements, so each of
@@ -164,12 +197,12 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
     n, ell = params.n, params.ell
     full = (1 << n) - 1
     img, self_bits, guards, offsets = _unit_table(n)
+    shifts, zero = _reach_table(n, ell)
+    low_bits = full * sum(1 << (2 * n * t) for t in range(ell + 1))  # LOW
     candidates: list[tuple[int, int]] = []
     visited: set[int] = set()
 
-    # reach[t] = residues reachable as sums of exactly t elements of the
-    # current support (repetition allowed).
-    def walk(support_mask: int, images: int, copies: int, size: int, low: int, reach: list[int]) -> None:
+    def walk(support_mask: int, images: int, copies: int, size: int, low: int, reach: int) -> None:
         visited.add(support_mask)
         visited.update([images >> s & full for s in offsets])
         for v in range(low - 1, 0, -1):
@@ -177,21 +210,20 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
             child_copies = copies | self_bits[v]
             if (child_copies - child_images) & guards != guards:
                 continue
-            # child[t] = sums avoiding v, or one more v on a child sum of t-1
-            child_reach = [1]
-            acc = 1
-            for t in range(1, ell + 1):
-                acc = reach[t] | (((acc << v) | (acc >> (n - v))) & full)
-                child_reach.append(acc)
             child = support_mask | (1 << v)
-            if acc & 1:
+            if reach & zero[v]:
                 candidates.append((child, child_images))
             elif size + 1 < ell:
-                walk(child, child_images, child_copies, size + 1, v, child_reach)
+                c = reach
+                for shift in shifts[v]:
+                    y = c << shift
+                    c |= (y | y >> n) & low_bits
+                walk(child, child_images, child_copies, size + 1, v, c)
 
-    reach0 = [0] * (ell + 1)
-    reach0[0] = 1
-    walk(0, 0, guards, 0, n, reach0)
+    walk(0, 0, guards, 0, n, 1)  # the empty set reaches 0 with no elements
+    # `walk` refers to itself, a reference cycle that holds `visited`; without
+    # this the set lives until the next full garbage collection
+    del walk
     masks = {1}  # {0}, then the orbits of the minimal canonical candidates
     for m, images in candidates:
         rest = m
@@ -203,8 +235,7 @@ def minimal_nonfaces(params: ZsfParams) -> list[frozenset]:
         else:
             masks.add(m)
             masks.update([images >> s & full for s in offsets])
-    keyed = sorted((m.bit_count(), _vertices_of(m)) for m in masks)
-    return [frozenset(vertices) for _, vertices in keyed]
+    return _sorted_sets(masks)
 
 
 def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> list[int]:
@@ -322,15 +353,15 @@ def build_complex(params: ZsfParams) -> SimplicialComplex:
     if n > BUILD_CAP:
         raise CapacityError(f"build_complex supports n ≤ {BUILD_CAP}, got {n}")
     mnf = minimal_nonfaces(params)
-    killed = {next(iter(s)) for s in mnf if len(s) == 1}
-    supported = [v for v in range(1, n) if v not in killed]
-    edges = [_mask_of(s) for s in mnf if len(s) >= 2]
+    killed = reduce(or_, [m for m in mnf if not m & (m - 1)])
+    supported = [v for v in range(1, n) if not killed >> v & 1]
+    edges = [m for m in mnf if m & (m - 1)]
     facets = _maximal_nonface_free(n, supported, edges)
-    return SimplicialComplex(range(n), [frozenset(_vertices_of(m)) for m in facets])
+    return SimplicialComplex.from_masks((1 << n) - 1, facets)
 
 
-def _f_vector(params: ZsfParams, mnf: list[frozenset], c: SimplicialComplex | None) -> list[int]:
-    """f-vector of Δ_{n,ℓ} from its minimal non-faces `mnf`, as `faces_by_dimension` gives it.
+def _f_vector(params: ZsfParams, mnf: list[int], c: SimplicialComplex | None) -> list[int]:
+    """f-vector of Δ_{n,ℓ} from its minimal non-face masks `mnf`, as `faces_by_dimension` gives it.
 
     `c` is the complex with these minimal non-faces, or None when it is too
     large to build; it is read only to choose the cheaper count (see the
@@ -372,10 +403,9 @@ def _f_vector(params: ZsfParams, mnf: list[frozenset], c: SimplicialComplex | No
     the whole complex instead.
     """
     n = params.n
-    masks = [_mask_of(s) for s in mnf]
-    free = n - reduce(or_, masks, 0).bit_count()
+    free = n - reduce(or_, mnf, 0).bit_count()
     poly = [binomial(free, k) for k in range(free + 1)]
-    edges = [m for m in masks if m & (m - 1)]
+    edges = [m for m in mnf if m & (m - 1)]
     components: list[int] = []  # vertex masks
     pending = edges
     while pending:
@@ -399,7 +429,7 @@ def _f_vector(params: ZsfParams, mnf: list[frozenset], c: SimplicialComplex | No
         return poly
     img, self_bits, guards, offsets = _unit_table(n)
     order = len(offsets) + 1
-    if c is not None and 1 << (c.dim() + 1) > order * len(c.facets):
+    if c is not None and 1 << (c.dim() + 1) > order * len(c._facet_masks):
         return faces_by_dimension(c)
     ones = guards >> n
     edges_at: dict[int, list[int]] = {v: [] for v in _vertices_of(rest)}
@@ -468,7 +498,7 @@ def brute_force_complex(params: ZsfParams) -> SimplicialComplex:
     j+1, `face >> 2^j & keep_j` marks each such subset whose partner with
     j+1 is a face.  keep_{n-2} is the low half, and each keep_j follows from
     keep_{j+1} by one shift and xor (0x0F, 0x33, 0x55 on three vertices).
-    The facets are decoded from the set bits of the unmarked faces by a
+    The facet masks are read off the set bits of the unmarked faces by a
     string search, one Python step per facet.
     """
     n, ell = params.n, params.ell
@@ -501,6 +531,6 @@ def brute_force_complex(params: ZsfParams) -> SimplicialComplex:
     facets = []
     i = bits.find("1")
     while i >= 0:
-        facets.append(frozenset(_vertices_of(i << 1)))
+        facets.append(i << 1)
         i = bits.find("1", i + 1)
-    return SimplicialComplex(range(n), facets)
+    return SimplicialComplex.from_masks((1 << n) - 1, facets)

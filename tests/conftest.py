@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from zsumfree import SimplicialComplex, ZsfParams, build_complex
+from zsumfree.complexes import _vertices_of
 
 acceptance_lines: list[str] = []
 
@@ -12,6 +13,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def decoded(masks) -> list[frozenset]:
+    """Vertex bit masks (bit v for vertex v) as frozensets, in order."""
+    return [frozenset(_vertices_of(m)) for m in masks]
 
 
 def hand_fixtures() -> list[SimplicialComplex]:

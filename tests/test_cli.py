@@ -17,6 +17,7 @@ import zsumfree.families as fam
 from zsumfree.cli import main, table_rows
 from zsumfree.complexes import SimplicialComplex
 from zsumfree.conjectures import ScanReport
+from zsumfree.zerosumfree import ZsfParams, build_complex
 
 
 @pytest.fixture(autouse=True)
@@ -215,6 +216,19 @@ def _set_value(key, value, index=None):
     return lambda payload: payload["complex"][key].__setitem__(index, value)
 
 
+def _set_poset(drop=None, **fields):
+    """Damage: store a poset of Δ_{12,6} that is well formed but for `fields`,
+    and lacks the key `drop`."""
+
+    def damage(payload):
+        poset = arr.build_poset(build_complex(ZsfParams(12, 6))).to_json()
+        poset.update(fields)
+        poset.pop(drop, None)
+        payload["poset"] = poset
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, flags",
     [
@@ -237,6 +251,21 @@ def _set_value(key, value, index=None):
         (_set_value("decomposition", 3.0, 0), []),
         (_set_value("decomposition", "(3,3)"), []),
         (_set_value("decomposition", False), []),
+        (lambda payload: payload.update(poset={"char_poly": "bogus"}), ["--arrangement"]),
+        (lambda payload: payload.update(poset={"char_poly": "bogus"}), []),
+        (_set_poset(drop="rank"), ["--arrangement"]),
+        (_set_poset(extra=1), ["--arrangement"]),
+        (_set_poset(char_poly="bogus"), ["--arrangement"]),
+        (_set_poset(char_poly=[1, 0.5]), ["--arrangement"]),
+        (_set_poset(graded="yes"), ["--arrangement"]),
+        (_set_poset(graded=1), ["--arrangement"]),
+        (_set_poset(rank=2.0), ["--arrangement"]),
+        (_set_poset(rank="2"), ["--arrangement"]),
+        (_set_poset(hasse=[[0, 1, 2]]), ["--arrangement"]),
+        (_set_poset(hasse=[[0, "1"]]), ["--arrangement"]),
+        (_set_poset(hasse=[0, 1]), ["--arrangement"]),
+        (_set_poset(elements=[["ambient", 6, 1]]), ["--arrangement"]),
+        (_set_poset(elements={}), ["--arrangement"]),
     ],
     ids=[
         "empty-complex", "empty-complex-oracle", "list-poset",
@@ -246,6 +275,10 @@ def _set_value(key, value, index=None):
         "float-f-vector-entry", "str-f-vector", "bool-h-vector-entry-arrangement",
         "null-h-vector", "str-pure", "int-connected-arrangement",
         "float-decomposition-part", "str-decomposition", "false-decomposition",
+        "bogus-poset-arrangement", "bogus-poset", "poset-without-rank", "poset-extra-key",
+        "str-char-poly", "float-char-poly-entry", "str-graded", "int-graded",
+        "float-rank", "str-rank", "hasse-triple", "str-hasse-entry", "hasse-of-ints",
+        "elements-of-lists", "dict-elements",
     ],
 )
 def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):

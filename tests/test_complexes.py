@@ -5,10 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from conftest import corpus_complexes, hand_fixtures
+import pytest
+
+from conftest import corpus_complexes, decoded, hand_fixtures
 from zsumfree.complexes import (
     SimplicialComplex,
     _mask_of,
+    _vertices_of,
     alexander_dual,
     decompose_disjoint_simplices,
     f_to_h,
@@ -42,6 +45,42 @@ def brute_faces(c: SimplicialComplex) -> set[frozenset]:
 
 # ---------------------------------------------------------------------------
 # construction
+
+
+def test_mask_and_vertex_constructors_agree():
+    # `build_complex` and `brute_force_complex` take the mask route; the
+    # public constructor takes vertex sets.  Both must store one complex.
+    for n in range(2, 17):
+        ground = (1 << n) - 1
+        for ell in range(1, n):
+            masks = build_complex(ZsfParams(n, ell))._facet_masks[::-1]
+            by_mask = SimplicialComplex.from_masks(ground, masks)
+            by_set = SimplicialComplex(range(n), [frozenset(_vertices_of(m)) for m in masks])
+            assert by_mask.facets == by_set.facets == tuple(sorted(by_set.facets, key=sorted)), (n, ell)
+            assert by_mask._facet_masks == by_set._facet_masks, (n, ell)
+            assert by_mask == by_set and hash(by_mask) == hash(by_set), (n, ell)
+            assert by_mask.dim() == by_set.dim() == max(map(len, by_set.facets)) - 1, (n, ell)
+            assert is_pure(by_mask) == is_pure(by_set), (n, ell)
+
+
+def test_mask_route_refuses_what_the_vertex_route_refuses():
+    cases = [
+        ((0b110, [0b10, 0b10]), ([1, 2], [fs(1), fs(1)])),               # duplicate facets
+        ((0b110, [0b10, 0b110]), ([1, 2], [fs(1), fs(1, 2)])),           # comparable facets
+        ((0b110, [0, 0b10]), ([1, 2], [fs(), fs(1)])),                   # empty facet beside another
+        ((0b110, [0b1000]), ([1, 2], [fs(3)])),                          # facet outside the ground set
+        ((1 << 70, [1 << 70]), ([70], [fs(70)])),                        # vertex above 63
+        (((1 << 64) - 1, [1 << 64]), (range(64), [fs(64)])),             # facet vertex 64
+        ((0b10, []), ([1], [])),                                         # no facets at all
+        ((0b110, [-2]), ([1, 2], [fs(-1)])),                             # negative mask / vertex
+        ((0b110, [True]), ([1, 2], [fs(True)])),                         # bool
+        ((0b110, [2.0]), ([1, 2], [fs(1.0)])),                           # float
+    ]
+    for (ground, masks), (vertices, facets) in cases:
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_masks(ground, masks)
+        with pytest.raises(ValueError):
+            SimplicialComplex(vertices, facets)
 
 
 def test_facet_masks_follow_the_facet_order():
@@ -348,4 +387,4 @@ def test_minimal_nonfaces_of_complex_against_brute_force():
             if frozenset(combo) not in faces
         ]
         minimal = {s for s in nonfaces if not any(t < s for t in nonfaces)}
-        assert set(minimal_nonfaces_of_complex(c)) == minimal, c.facets
+        assert set(decoded(minimal_nonfaces_of_complex(c))) == minimal, c.facets

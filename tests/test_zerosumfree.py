@@ -8,7 +8,14 @@ import math
 import pytest
 
 import zsumfree.zerosumfree as zsf
-from zsumfree.complexes import CapacityError, faces_by_dimension, minimal_nonfaces_of_complex
+from conftest import decoded
+from zsumfree.complexes import (
+    CapacityError,
+    _mask_of,
+    _vertices_of,
+    faces_by_dimension,
+    minimal_nonfaces_of_complex,
+)
 from zsumfree.zerosumfree import (
     ZsfParams,
     brute_force_complex,
@@ -107,10 +114,10 @@ def test_enumerate_nlc_ell_1_and_4_2():
 
 
 def test_minimal_nonfaces_examples():
-    assert set(minimal_nonfaces(ZsfParams(6, 3))) == {fs(0), fs(2), fs(4)}
-    assert set(minimal_nonfaces(ZsfParams(4, 2))) == {fs(0), fs(2), fs(1, 3)}
+    assert set(decoded(minimal_nonfaces(ZsfParams(6, 3)))) == {fs(0), fs(2), fs(4)}
+    assert set(decoded(minimal_nonfaces(ZsfParams(4, 2)))) == {fs(0), fs(2), fs(1, 3)}
     for n in range(2, 9):
-        assert minimal_nonfaces(ZsfParams(n, 1)) == [fs(0)]
+        assert decoded(minimal_nonfaces(ZsfParams(n, 1))) == [fs(0)]
 
 
 def test_minimal_nonfaces_equal_minimalized_nlc():
@@ -118,7 +125,7 @@ def test_minimal_nonfaces_equal_minimalized_nlc():
         for ell in range(1, n):
             sets = enumerate_nlc(ZsfParams(n, ell))
             minimal = {s for s in sets if not any(t < s for t in sets)}
-            assert set(minimal_nonfaces(ZsfParams(n, ell))) == minimal, (n, ell)
+            assert set(decoded(minimal_nonfaces(ZsfParams(n, ell)))) == minimal, (n, ell)
 
 
 def test_walk_matches_nonfaces_of_built_complex_at_high_ell():
@@ -126,8 +133,8 @@ def test_walk_matches_nonfaces_of_built_complex_at_high_ell():
     for n in range(20, 25):
         for ell in ((n + 1) // 2 + 1, n - 2):
             p = ZsfParams(n, ell)
-            expected = set(minimal_nonfaces_of_complex(build_complex(p)))
-            assert set(minimal_nonfaces(p)) == expected, (n, ell)
+            # both are masks in one order, so they compare as lists
+            assert minimal_nonfaces(p) == minimal_nonfaces_of_complex(build_complex(p)), (n, ell)
 
 
 def test_walk_matches_nonfaces_of_oracle_complex():
@@ -135,15 +142,14 @@ def test_walk_matches_nonfaces_of_oracle_complex():
     for n in range(13, 21):
         for ell in range(1, n):
             p = ZsfParams(n, ell)
-            expected = set(minimal_nonfaces_of_complex(brute_force_complex(p)))
-            assert set(minimal_nonfaces(p)) == expected, (n, ell)
+            assert minimal_nonfaces(p) == minimal_nonfaces_of_complex(brute_force_complex(p)), (n, ell)
 
 
 def test_minimal_nonfaces_are_nonfaces_with_face_proper_subsets():
     for n in range(2, 13):
         for ell in range(1, n):
             p = ZsfParams(n, ell)
-            for s in minimal_nonfaces(p):
+            for s in decoded(minimal_nonfaces(p)):
                 assert len(s) <= ell, (n, ell, s)
                 assert not is_face(p, s), (n, ell, s)
                 for v in s:
@@ -208,7 +214,7 @@ def test_units_of_zn_map_the_complex_onto_itself():
     for n in range(2, 25):
         for ell in sorted({2, (n + 1) // 2, (n + 1) // 2 + 1, n - 1} & set(range(1, n))):
             p = ZsfParams(n, ell)
-            mnf = set(minimal_nonfaces(p))
+            mnf = set(decoded(minimal_nonfaces(p)))
             facets = set(build_complex(p).facets)
             for u in range(2, n):
                 if math.gcd(u, n) != 1:
@@ -298,7 +304,7 @@ def test_packed_unit_images_at_their_widest(monkeypatch):
         units = range(2, n)
         for ell in (3, (n + 1) // 2, n - 2):
             p = ZsfParams(n, ell)
-            mnf = set(minimal_nonfaces(p))
+            mnf = set(decoded(minimal_nonfaces(p)))
             facets = set(build_complex(p).facets)
             for s in mnf:
                 assert not is_face(p, s), (n, ell, s)
@@ -314,6 +320,22 @@ def test_packed_unit_images_at_their_widest(monkeypatch):
                     if family is facets:  # one maximality check per orbit
                         assert is_face(p, s), (n, ell, s)
                         assert not any(is_face(p, s | {v}) for v in range(1, n) if v not in s), (n, ell, s)
+
+
+@pytest.mark.parametrize("n, ell", [(61, 60), (64, 3), (36, 35), (33, 32)])
+def test_packed_reach_layers_at_their_widest(n, ell):
+    # The walk packs ℓ + 1 reach layers of 2n bits in one int: Δ_{61,60}
+    # has 61 fields of 122 bits and Δ_{64,3} the widest field.
+    p = ZsfParams(n, ell)
+    mnf = minimal_nonfaces(p)
+    assert mnf == sorted(mnf, key=lambda m: (m.bit_count(), _vertices_of(m))), (n, ell)
+    found = set(mnf)
+    assert len(found) == len(mnf), (n, ell)
+    units = [u for u in range(2, n) if math.gcd(u, n) == 1]
+    for s in decoded(mnf):
+        assert not is_face(p, s), (n, ell, s)
+        assert all(is_face(p, s - {v}) for v in s), (n, ell, s)
+        assert all(_mask_of(u * x % n for x in s) in found for u in units), (n, ell, s)
 
 
 # ---------------------------------------------------------------------------
