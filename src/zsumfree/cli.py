@@ -19,9 +19,10 @@ Exit codes: 0 ok, 2 invalid parameters, 3 oracle or family mismatch,
 Artifacts are cached under $ZSF_CACHE_DIR (default ~/.cache/zsumfree), keyed
 by (n, ℓ, artifact version); cached payloads are byte-stable.  Bumping the
 artifact version invalidates old entries.  A cache that cannot be read or
-written never fails a command: an unreadable entry is a miss, and a failed
+written never fails a command: an unreadable entry is a miss, a failed
 write prints a one-line warning to stderr and leaves stdout and the exit
-code as with --no-cache.
+code as with --no-cache, and `cache-clear` warns about each entry it cannot
+remove and goes on.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .complexes import (
     is_connected,
     is_pure,
 )
-from .conjectures import SCANNERS
+from .conjectures import N_MAX_CAP, SCANNERS
 from .families import FamilySpec, family_report_ok, verify_family
 from .zerosumfree import (
     BRUTE_FORCE_CAP,
@@ -61,9 +62,10 @@ from .zerosumfree import (
 ARTIFACT_VERSION = "1"
 # the keys `_complex_payload` writes; a cached complex with any other set is a miss
 COMPLEX_KEYS = {"facets", "min_nonfaces", "f_vector", "h_vector", "pure", "connected", "decomposition"}
-# the keys `IntersectionPoset.to_json` writes; a cached poset with any other set is a miss
+# the keys `IntersectionPoset.to_json` writes; a cached poset with any other set is rebuilt
 POSET_KEYS = {"elements", "hasse", "graded", "rank", "char_poly"}
-TABLE_N_MAX_CAP = 24
+# `scan`'s range flags and their defaults; `SCANNERS` names the flag each scanner takes
+SCAN_DEFAULTS = {"p_max": 11, "n_max": 19, "max_sum": 30}
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -145,10 +147,8 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
     checked: `complex` must hold exactly the keys `_complex_payload` writes,
     with `facets` and `min_nonfaces` lists of lists of ints in 0..n-1,
     `f_vector` and `h_vector` lists of ints, `pure` and `connected` bools and
-    `decomposition` null or a list of ints, and a `poset`, if present, must
-    hold exactly the keys `IntersectionPoset.to_json` writes, with
-    `char_poly` a list of ints, `graded` a bool, `rank` an int or null,
-    `hasse` a list of int pairs and `elements` a list of dicts."""
+    `decomposition` null or a list of ints.  A cached `poset` is checked only
+    where it is printed, by `_poset_ok`."""
     path = _cache_path(n, ell)
     try:
         entry = json.loads(path.read_text())
@@ -179,19 +179,22 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
     # count), then the range of the vertices
     if set(map(type, chain(vertices, *counts))) - {int} or (vertices and not 0 <= min(vertices) <= max(vertices) < n):
         return None
-    if "poset" not in payload:
-        return payload
-    poset = payload["poset"]
+    return payload
+
+
+def _poset_ok(poset) -> bool:
+    """Whether a cached `poset` holds exactly the keys `IntersectionPoset.to_json`
+    writes, with `char_poly` a list of ints, `graded` a bool, `rank` an int or
+    null, `hasse` a list of int pairs and `elements` a list of dicts; a
+    missing poset (None) is not."""
     if not isinstance(poset, dict) or poset.keys() != POSET_KEYS:
-        return None
+        return False
     char_poly, hasse, elements = poset["char_poly"], poset["hasse"], poset["elements"]
     if {type(char_poly), type(hasse), type(elements)} != {list} or type(poset["graded"]) is not bool:
-        return None
+        return False
     if set(map(type, hasse)) - {list} or set(map(len, hasse)) - {2} or set(map(type, elements)) - {dict}:
-        return None
-    if set(map(type, chain(char_poly, *hasse))) - {int} or type(poset["rank"]) not in (int, type(None)):
-        return None
-    return payload
+        return False
+    return not set(map(type, chain(char_poly, *hasse))) - {int} and type(poset["rank"]) in (int, type(None))
 
 
 def store_payload(n: int, ell: int, payload: dict) -> None:
@@ -235,7 +238,8 @@ def cmd_compute(args) -> int:
     if payload is None:
         payload = {"complex": _complex_payload(params)}
         dirty = True
-    if args.arrangement and "poset" not in payload:
+    # a missing or malformed poset is rebuilt alone, on the complex at hand
+    if args.arrangement and not _poset_ok(payload.get("poset")):
         facets = [_mask_of(f) for f in payload["complex"]["facets"]]
         c = SimplicialComplex.from_masks((1 << params.n) - 1, facets)
         payload["poset"] = build_poset(c).to_json()
@@ -296,9 +300,16 @@ def cmd_family(args) -> int:
 
 def cmd_scan(args) -> int:
     scanner, flag = SCANNERS[args.conjecture]
+    stray = [other for other in SCAN_DEFAULTS if other != flag and getattr(args, other) is not None]
+    if args.include_repeated and args.conjecture != "log-concavity":
+        stray.append("include_repeated")
+    if stray:
+        raise ValueError(f"--{stray[0].replace('_', '-')} does not apply to scan {args.conjecture}")
     value = getattr(args, flag)
-    if args.conjecture == "log-concavity":
-        report = scanner(value, include_repeated=args.include_repeated)
+    if value is None:
+        value = SCAN_DEFAULTS[flag]
+    if args.include_repeated:
+        report = scanner(value, include_repeated=True)
     else:
         report = scanner(value)
     print(_dump(report.to_json()))
@@ -328,8 +339,8 @@ def table_rows(n_max: int) -> list[str]:
 
 
 def cmd_table(args) -> int:
-    if args.n_max > TABLE_N_MAX_CAP:
-        raise CapacityError(f"table supports n_max up to {TABLE_N_MAX_CAP}, got {args.n_max}")
+    if args.n_max > N_MAX_CAP:
+        raise CapacityError(f"table supports n_max up to {N_MAX_CAP}, got {args.n_max}")
     rows = table_rows(args.n_max)
     if args.json:
         print(_dump(rows))
@@ -344,8 +355,12 @@ def cmd_cache_clear(args) -> int:
     removed = 0
     if directory.is_dir():
         for path in sorted(directory.glob("complex-n*-l*-v*.json")):
-            path.unlink()
-            removed += 1
+            try:
+                path.unlink()
+            except OSError as exc:
+                print(f"warning: cache entry not removed: {exc}", file=sys.stderr)
+            else:
+                removed += 1
     print(f"removed {removed} cached artifact(s) from {directory}")
     return EXIT_OK
 
@@ -386,9 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="run a conjecture scanner")
     p.add_argument("conjecture", choices=sorted(SCANNERS))
-    p.add_argument("--p-max", dest="p_max", type=int, default=11)
-    p.add_argument("--n-max", dest="n_max", type=int, default=19)
-    p.add_argument("--max-sum", dest="max_sum", type=int, default=30)
+    for flag, default in SCAN_DEFAULTS.items():
+        takers = ", ".join(name for name, (_, taken) in SCANNERS.items() if taken == flag)
+        p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=int,
+                       help=f"{takers} only (default {default})")
     p.add_argument("--include-repeated", action="store_true",
                    help="log-concavity only: also scan partitions with repeated parts")
     p.set_defaults(func=cmd_scan)

@@ -21,7 +21,7 @@ The five conjectures:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .complexes import (
     CapacityError,
@@ -36,8 +36,7 @@ from .families import is_prime
 from .partitions import enumerate_partitions
 from .zerosumfree import ZsfParams, build_complex
 
-P_MAX_CAP = 12
-N_MAX_CAP = 24
+N_MAX_CAP = 24  # the sweep limit on n for `table` and the scans (isolated: n = 2p)
 MAX_SUM_CAP = 40  # log-concavity: 8,696 partitions with distinct parts, 215,307 in all
 
 
@@ -56,14 +55,24 @@ class ScanReport:
         return "counterexample-found" if self.counterexamples else "confirmed-in-range"
 
     def to_json(self) -> dict:
-        return {
-            "conjecture": self.conjecture,
-            "range": self.range,
-            "checked": self.checked,
-            "counterexamples": self.counterexamples,
-            "elapsed_ms": self.elapsed_ms,
-            "status": self.status,
-        }
+        return asdict(self) | {"status": self.status}
+
+
+def _scan(conjecture: str, rng: dict, cap: int, instances, check) -> ScanReport:
+    """Run `check` on every instance of `instances()` and report.
+
+    The first value of `rng` is refused past `cap` before any instance is
+    made.  `check(instance)` yields that instance's counterexamples, and the
+    report counts the instances.
+    """
+    flag, value = next(iter(rng.items()))
+    if value > cap:
+        raise CapacityError(f"{flag} must be at most {cap}, got {value}")
+    start = time.perf_counter()
+    todo = instances()
+    counterexamples = [ce for instance in todo for ce in check(instance)]
+    elapsed = int(round((time.perf_counter() - start) * 1000))
+    return ScanReport(conjecture, rng, len(todo), counterexamples, elapsed)
 
 
 def isolated_instances(p_max: int) -> list[tuple[int, int]]:
@@ -79,78 +88,55 @@ def isolated_instances(p_max: int) -> list[tuple[int, int]]:
 
 def scan_no_isolated_vertices(p_max: int) -> ScanReport:
     """Scan Δ_{2p,ℓ} for isolated vertices over the conjectured range."""
-    if p_max > P_MAX_CAP:
-        raise CapacityError(f"p_max must be at most {P_MAX_CAP}, got {p_max}")
-    start = time.perf_counter()
-    counterexamples = []
-    instances = isolated_instances(p_max)
-    for p, ell in instances:
-        c = build_complex(ZsfParams(2 * p, ell))
-        lone = sorted(isolated_vertices(c))
+
+    def check(instance):
+        p, ell = instance
+        lone = isolated_vertices(build_complex(ZsfParams(2 * p, ell)))
         if lone:
-            counterexamples.append(
-                {"params": {"p": p, "n": 2 * p, "ell": ell}, "witness": {"isolated_vertices": lone}}
-            )
-    elapsed = int(round((time.perf_counter() - start) * 1000))
-    return ScanReport("isolated", {"p_max": p_max}, len(instances), counterexamples, elapsed)
+            yield {"params": {"p": p, "n": 2 * p, "ell": ell}, "witness": {"isolated_vertices": lone}}
+
+    return _scan("isolated", {"p_max": p_max}, N_MAX_CAP // 2, lambda: isolated_instances(p_max), check)
 
 
 def scan_purity_prime(n_max: int) -> ScanReport:
     """For odd n ≤ n_max, check purity of Δ_{n,(n∓1)/2} against primality of n."""
-    if n_max > N_MAX_CAP:
-        raise CapacityError(f"n_max must be at most {N_MAX_CAP}, got {n_max}")
-    start = time.perf_counter()
-    counterexamples = []
-    instances = list(range(3, n_max + 1, 2))
-    for n in instances:
+
+    def check(n):
         prime = is_prime(n)
         for ell in ((n - 1) // 2, (n + 1) // 2):
             pure = is_pure(build_complex(ZsfParams(n, ell)))
             if pure != prime:
-                counterexamples.append(
-                    {"params": {"n": n, "ell": ell}, "witness": {"pure": pure, "prime": prime}}
-                )
-    elapsed = int(round((time.perf_counter() - start) * 1000))
-    return ScanReport("purity-prime", {"n_max": n_max}, len(instances), counterexamples, elapsed)
+                yield {"params": {"n": n, "ell": ell}, "witness": {"pure": pure, "prime": prime}}
+
+    return _scan("purity-prime", {"n_max": n_max}, N_MAX_CAP, lambda: range(3, n_max + 1, 2), check)
 
 
 def scan_hvector_purity(n_max: int) -> ScanReport:
     """Check that nonnegative h_1..h_d forces purity, for all (n,ℓ) with n ≤ n_max."""
-    if n_max > N_MAX_CAP:
-        raise CapacityError(f"n_max must be at most {N_MAX_CAP}, got {n_max}")
-    start = time.perf_counter()
-    counterexamples = []
-    checked = 0
-    for n in range(2, n_max + 1):
-        for ell in range(1, n):
-            checked += 1
-            c = build_complex(ZsfParams(n, ell))
-            h = f_to_h(faces_by_dimension(c))
-            if all(x >= 0 for x in h[1:]) and not is_pure(c):
-                counterexamples.append(
-                    {"params": {"n": n, "ell": ell}, "witness": {"h_vector": h, "pure": False}}
-                )
-    elapsed = int(round((time.perf_counter() - start) * 1000))
-    return ScanReport("hvec-purity", {"n_max": n_max}, checked, counterexamples, elapsed)
+
+    def check(params):
+        c = build_complex(ZsfParams(**params))
+        h = f_to_h(faces_by_dimension(c))
+        if all(x >= 0 for x in h[1:]) and not is_pure(c):
+            yield {"params": params, "witness": {"h_vector": h, "pure": False}}
+
+    def grid():
+        return [{"n": n, "ell": ell} for n in range(2, n_max + 1) for ell in range(1, n)]
+
+    return _scan("hvec-purity", {"n_max": n_max}, N_MAX_CAP, grid, check)
 
 
 def scan_connectivity(n_max: int) -> ScanReport:
     """Check that Δ_{n,ℓ} is connected for all n ≤ n_max with n > 2ℓ."""
-    if n_max > N_MAX_CAP:
-        raise CapacityError(f"n_max must be at most {N_MAX_CAP}, got {n_max}")
-    start = time.perf_counter()
-    counterexamples = []
-    checked = 0
-    for n in range(3, n_max + 1):
-        for ell in range(1, (n - 1) // 2 + 1):
-            checked += 1
-            c = build_complex(ZsfParams(n, ell))
-            if not is_connected(c):
-                counterexamples.append(
-                    {"params": {"n": n, "ell": ell}, "witness": {"connected": False}}
-                )
-    elapsed = int(round((time.perf_counter() - start) * 1000))
-    return ScanReport("connectivity", {"n_max": n_max}, checked, counterexamples, elapsed)
+
+    def check(params):
+        if not is_connected(build_complex(ZsfParams(**params))):
+            yield {"params": params, "witness": {"connected": False}}
+
+    def grid():
+        return [{"n": n, "ell": ell} for n in range(3, n_max + 1) for ell in range(1, (n - 1) // 2 + 1)]
+
+    return _scan("connectivity", {"n_max": n_max}, N_MAX_CAP, grid, check)
 
 
 def log_concavity_instances(max_sum: int, include_repeated: bool = False) -> list[tuple[int, ...]]:
@@ -167,27 +153,20 @@ def scan_log_concavity(max_sum: int, include_repeated: bool = False) -> ScanRepo
     """Check log-concavity of the unsigned h-vector of Γ_λ for Σλ ≤ max_sum.
 
     The conjecture hypothesizes distinct parts; `include_repeated=True` is an
-    exploratory mode that scans every partition.
+    exploratory mode that scans every partition.  Each partition reports its
+    first failing k only.
     """
-    if max_sum > MAX_SUM_CAP:
-        raise CapacityError(f"max_sum must be at most {MAX_SUM_CAP}, got {max_sum}")
-    start = time.perf_counter()
-    counterexamples = []
-    instances = log_concavity_instances(max_sum, include_repeated)
-    for lam in instances:
+
+    def check(lam):
         h = [abs(x) for x in h_vector_disjoint_simplices(lam)]
         for k in range(2, lam[0]):
             if h[k] ** 2 < h[k - 1] * h[k + 1]:
-                counterexamples.append(
-                    {
-                        "params": {"lambda": list(lam)},
-                        "witness": {"k": k, "unsigned_h": h[1:]},
-                    }
-                )
-                break
-    elapsed = int(round((time.perf_counter() - start) * 1000))
+                yield {"params": {"lambda": list(lam)}, "witness": {"k": k, "unsigned_h": h[1:]}}
+                return
+
     rng = {"max_sum": max_sum, "include_repeated": include_repeated}
-    return ScanReport("log-concavity", rng, len(instances), counterexamples, elapsed)
+    return _scan("log-concavity", rng, MAX_SUM_CAP,
+                 lambda: log_concavity_instances(max_sum, include_repeated), check)
 
 
 SCANNERS = {

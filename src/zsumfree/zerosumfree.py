@@ -376,17 +376,20 @@ def _f_vector(params: ZsfParams, mnf: list[int], c: SimplicialComplex | None) ->
     non-face adds nothing, and a component that is one non-face e holds
     every subset of e but e itself: (1 + x)^{|e|} - x^{|e|}.  These
     closed forms are exact and cover Δ_{n,1} (a simplex) and Δ_{n,2} (a
-    join of the pairs {a, -a}).
+    join of the pairs {a, -a}).  Finding them needs no component search:
+    the non-faces are distinct, so e is a component on its own iff none of
+    its vertices is `shared`, that is, lies in two or more non-faces.
 
-    The other components make up the rest R.  A unit u of Z/n permutes the
-    non-faces, so it maps components to components of the same shape, and
-    R and its faces are closed under the units.  They are counted by an
-    orderly depth-first search over canonical faces of R (bit mask the
-    largest in its orbit), with the packed images, the guard-bit test and
-    the `blocked` masks of `_maximal_nonface_free`: the delete-the-minimum
-    argument of `minimal_nonfaces` holds for any family closed under the
-    units and under subsets, so the search visits exactly one face per
-    orbit.  No horizon cut applies, since every face counts.  By the
+    The union of the other non-faces is the rest R, the join of the other
+    components.  A unit u of Z/n permutes the non-faces, so it keeps the
+    number of non-faces through each vertex, and R and its faces are closed
+    under the units.  They are counted by an orderly depth-first search
+    over canonical faces of R (bit mask the largest in its orbit), with the
+    packed images, the guard-bit test and the `blocked` masks of
+    `_maximal_nonface_free`: the delete-the-minimum argument of
+    `minimal_nonfaces` holds for any family closed under the units and
+    under subsets, so the search visits exactly one face per orbit.  No
+    horizon cut applies, since every face counts.  By the
     orbit-stabilizer theorem the orbit of a canonical S has |G|/|Stab S|
     members, G the unit group, all of size |S|, so S adds that much to
     f_{|S|}.  A unit u ≠ 1 fixes S iff field u of `images ^ copies` holds
@@ -406,25 +409,17 @@ def _f_vector(params: ZsfParams, mnf: list[int], c: SimplicialComplex | None) ->
     free = n - reduce(or_, mnf, 0).bit_count()
     poly = [binomial(free, k) for k in range(free + 1)]
     edges = [m for m in mnf if m & (m - 1)]
-    components: list[int] = []  # vertex masks
-    pending = edges
-    while pending:
-        comp, grown = 0, pending[0]
-        while grown != comp:
-            comp = grown
-            grown = reduce(or_, [e for e in pending if e & comp])
-        components.append(comp)
-        pending = [e for e in pending if not e & comp]
-    # the minimal non-faces are an antichain, so a component that is itself
-    # a non-face holds no other one
-    single = set(edges).intersection(components)
+    seen = shared = 0  # vertices in one or more, and in two or more, edges
+    for e in edges:
+        shared |= seen & e
+        seen |= e
     rest = 0
-    for comp in components:
-        if comp in single:
-            s = comp.bit_count()
-            poly = _times(poly, [binomial(s, k) for k in range(s)])
+    for e in edges:
+        if e & shared:
+            rest |= e
         else:
-            rest |= comp
+            s = e.bit_count()
+            poly = _times(poly, [binomial(s, k) for k in range(s)])
     if not rest:
         return poly
     img, self_bits, guards, offsets = _unit_table(n)

@@ -299,6 +299,29 @@ def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):
     assert not isinstance(payload.get("poset"), list)
 
 
+def test_poset_is_checked_only_where_it_is_printed(capsys, tmp_cache, monkeypatch):
+    code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache")
+    assert code == 0
+    _, arranged, _ = run_cli(capsys, "compute", "12", "6", "--no-cache", "--arrangement")
+    run_cli(capsys, "compute", "12", "6")
+    path = tmp_cache / "complex-n12-l6-v1.json"
+    entry = json.loads(path.read_bytes())
+    entry["payload"]["poset"] = {"char_poly": "bogus"}
+    path.write_text(json.dumps(entry))
+    damaged = path.read_bytes()
+
+    # a plain hit neither checks nor repairs the poset
+    assert run_cli(capsys, "compute", "12", "6") == (0, reference, "")
+    assert path.read_bytes() == damaged
+
+    # --arrangement rebuilds the poset alone, on the cached complex
+    monkeypatch.setattr(cli, "_complex_payload", None)
+    assert run_cli(capsys, "compute", "12", "6", "--arrangement") == (0, arranged, "")
+    payload = json.loads(path.read_bytes())["payload"]
+    assert payload["complex"] == entry["payload"]["complex"]
+    assert cli._poset_ok(payload["poset"])
+
+
 def test_unwritable_cache_warns_and_computes(capsys, tmp_cache):
     code, reference, _ = run_cli(capsys, "compute", "8", "3", "--no-cache")
     assert code == 0
@@ -319,6 +342,18 @@ def test_cache_clear(capsys, tmp_cache):
     assert list(tmp_cache.glob("complex-*")) == []
     code, out, _ = run_cli(capsys, "cache-clear")
     assert code == 0 and "removed 0" in out
+
+
+def test_cache_clear_warns_on_an_entry_it_cannot_remove(capsys, tmp_cache):
+    run_cli(capsys, "compute", "6", "3")
+    run_cli(capsys, "compute", "9", "8")
+    (tmp_cache / "complex-n9-l2-v1.json").mkdir()  # sorts between the two entries
+    code, out, err = run_cli(capsys, "cache-clear")
+    assert code == 0
+    assert out == f"removed 2 cached artifact(s) from {tmp_cache}\n"
+    assert err.startswith("warning: cache entry not removed: ") and err.count("\n") == 1
+    assert "complex-n9-l2-v1.json" in err
+    assert [p.name for p in tmp_cache.iterdir()] == ["complex-n9-l2-v1.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +447,54 @@ def test_scan_capacity(capsys, monkeypatch):
     too_big = str(conj.MAX_SUM_CAP + 1)
     code, out, err = run_cli(capsys, "scan", "log-concavity", "--max-sum", too_big)
     assert code == 4 and "capacity exceeded" in err and out == ""
+
+
+def _built_past_the_cap(*args, **kwargs):
+    raise AssertionError("a sweep started past its cap")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--n-max", "25"], "table supports n_max up to 24, got 25"),
+        (["scan", "isolated", "--p-max", "13"], "p_max must be at most 12, got 13"),
+        (["scan", "purity-prime", "--n-max", "25"], "n_max must be at most 24, got 25"),
+        (["scan", "hvec-purity", "--n-max", "25"], "n_max must be at most 24, got 25"),
+        (["scan", "connectivity", "--n-max", "25"], "n_max must be at most 24, got 25"),
+        (["scan", "log-concavity", "--max-sum", "41"], "max_sum must be at most 40, got 41"),
+    ],
+)
+def test_sweep_capacity_messages(capsys, monkeypatch, argv, message):
+    for module, name in [(cli, "table_rows"), (conj, "build_complex"), (conj, "isolated_instances"),
+                         (conj, "log_concavity_instances")]:
+        monkeypatch.setattr(module, name, _built_past_the_cap)
+    assert run_cli(capsys, *argv) == (4, "", f"capacity exceeded: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["table", "--n-max", "24"], ["scan", "isolated", "--p-max", "12"]])
+def test_sweep_limit_admits_its_bound(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "table_rows", lambda n_max: [])
+    monkeypatch.setattr(conj, "isolated_instances", lambda p_max: [])
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["isolated", "--n-max", "40"], "--n-max"),
+        (["isolated", "--max-sum", "10"], "--max-sum"),
+        (["connectivity", "--p-max", "99", "--n-max", "8"], "--p-max"),
+        (["hvec-purity", "--max-sum", "10"], "--max-sum"),
+        (["purity-prime", "--include-repeated"], "--include-repeated"),
+        (["log-concavity", "--n-max", "8", "--max-sum", "10"], "--n-max"),
+    ],
+)
+def test_scan_refuses_a_flag_of_another_scanner(capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr(conj, "build_complex", _built_past_the_cap)
+    monkeypatch.setattr(conj, "log_concavity_instances", _built_past_the_cap)
+    expected = f"invalid parameters: {flag} does not apply to scan {argv[0]}\n"
+    assert run_cli(capsys, "scan", *argv) == (2, "", expected)
 
 
 def test_scan_counterexample_exit(capsys, monkeypatch):
