@@ -17,12 +17,13 @@ Exit codes: 0 ok, 2 invalid parameters, 3 oracle or family mismatch,
 4 capacity exceeded, 5 conjecture counterexample found.
 
 Artifacts are cached under $ZSF_CACHE_DIR (default ~/.cache/zsumfree), keyed
-by (n, ℓ, artifact version); cached payloads are byte-stable.  Bumping the
-artifact version invalidates old entries.  A cache that cannot be read or
-written never fails a command: an unreadable entry is a miss, a failed
-write prints a one-line warning to stderr and leaves stdout and the exit
-code as with --no-cache, and `cache-clear` warns about each entry it cannot
-remove and goes on.
+by (n, ℓ, artifact version); cached payloads are byte-stable.  An entry
+holds the complex only: `--arrangement` builds the poset on every call and
+never writes.  Bumping the artifact version invalidates old entries.  A
+cache that cannot be read or written never fails a command: an unreadable
+entry is a miss, a failed write prints a one-line warning to stderr and
+leaves stdout and the exit code as with --no-cache, and `cache-clear` warns
+about each entry it cannot remove and goes on.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ from .zerosumfree import (
 ARTIFACT_VERSION = "1"
 # the keys `_complex_payload` writes; a cached complex with any other set is a miss
 COMPLEX_KEYS = {"facets", "min_nonfaces", "f_vector", "h_vector", "pure", "connected", "decomposition"}
-# the keys `IntersectionPoset.to_json` writes; a cached poset with any other set is rebuilt
-POSET_KEYS = {"elements", "hasse", "graded", "rank", "char_poly"}
 # `scan`'s range flags and their defaults; `SCANNERS` names the flag each scanner takes
 SCAN_DEFAULTS = {"p_max": 11, "n_max": 19, "max_sum": 30}
 
@@ -144,11 +143,12 @@ def _atomic_write(path: Path, data: bytes) -> None:
 def load_cached_payload(n: int, ell: int) -> dict | None:
     """The cached payload for (n, ℓ), or None when the entry is missing, stale
     or malformed; None means recompute.  Only the shape and the types are
-    checked: `complex` must hold exactly the keys `_complex_payload` writes,
+    checked: the payload must hold the one key `complex` (an entry that also
+    holds a `poset`, as older versions wrote, is a miss and gets rewritten
+    without it), and `complex` exactly the keys `_complex_payload` writes,
     with `facets` and `min_nonfaces` lists of lists of ints in 0..n-1,
     `f_vector` and `h_vector` lists of ints, `pure` and `connected` bools and
-    `decomposition` null or a list of ints.  A cached `poset` is checked only
-    where it is printed, by `_poset_ok`."""
+    `decomposition` null or a list of ints."""
     path = _cache_path(n, ell)
     try:
         entry = json.loads(path.read_text())
@@ -158,9 +158,9 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
     if not isinstance(entry, dict) or entry.get("key") != key:
         return None
     payload = entry.get("payload")
-    if not isinstance(payload, dict):
+    if not isinstance(payload, dict) or payload.keys() != {"complex"}:
         return None
-    complex_ = payload.get("complex")
+    complex_ = payload["complex"]
     if not isinstance(complex_, dict) or complex_.keys() != COMPLEX_KEYS:
         return None
     if {type(complex_["pure"]), type(complex_["connected"])} != {bool}:
@@ -180,21 +180,6 @@ def load_cached_payload(n: int, ell: int) -> dict | None:
     if set(map(type, chain(vertices, *counts))) - {int} or (vertices and not 0 <= min(vertices) <= max(vertices) < n):
         return None
     return payload
-
-
-def _poset_ok(poset) -> bool:
-    """Whether a cached `poset` holds exactly the keys `IntersectionPoset.to_json`
-    writes, with `char_poly` a list of ints, `graded` a bool, `rank` an int or
-    null, `hasse` a list of int pairs and `elements` a list of dicts; a
-    missing poset (None) is not."""
-    if not isinstance(poset, dict) or poset.keys() != POSET_KEYS:
-        return False
-    char_poly, hasse, elements = poset["char_poly"], poset["hasse"], poset["elements"]
-    if {type(char_poly), type(hasse), type(elements)} != {list} or type(poset["graded"]) is not bool:
-        return False
-    if set(map(type, hasse)) - {list} or set(map(len, hasse)) - {2} or set(map(type, elements)) - {dict}:
-        return False
-    return not set(map(type, chain(char_poly, *hasse))) - {int} and type(poset["rank"]) in (int, type(None))
 
 
 def store_payload(n: int, ell: int, payload: dict) -> None:
@@ -234,33 +219,30 @@ def cmd_compute(args) -> int:
         raise CapacityError(f"brute_force_complex supports n ≤ {BRUTE_FORCE_CAP}, got {params.n}")
 
     payload = load_cached_payload(params.n, params.ell) if use_cache else None
-    dirty = False
     if payload is None:
         payload = {"complex": _complex_payload(params)}
-        dirty = True
-    # a missing or malformed poset is rebuilt alone, on the complex at hand
-    if args.arrangement and not _poset_ok(payload.get("poset")):
-        facets = [_mask_of(f) for f in payload["complex"]["facets"]]
-        c = SimplicialComplex.from_masks((1 << params.n) - 1, facets)
-        payload["poset"] = build_poset(c).to_json()
-        dirty = True
-    if use_cache and dirty:
-        try:
-            store_payload(params.n, params.ell, payload)
-        except OSError as exc:
-            print(f"warning: cache entry not written: {exc}", file=sys.stderr)
+        if use_cache:
+            try:
+                store_payload(params.n, params.ell, payload)
+            except OSError as exc:
+                print(f"warning: cache entry not written: {exc}", file=sys.stderr)
+    complex_ = payload["complex"]
 
-    # the oracle runs before anything is printed, so a capacity error leaves stdout empty
+    # the poset and the oracle run before anything is printed, so a capacity
+    # error leaves stdout empty; the poset is never cached
+    if args.arrangement:
+        facets = [_mask_of(f) for f in complex_["facets"]]
+        poset = build_poset(SimplicialComplex.from_masks((1 << params.n) - 1, facets)).to_json()
     agrees = True
     if args.oracle:
         oracle_facets = set(brute_force_complex(params)._facet_masks)
-        agrees = oracle_facets == set(map(_mask_of, payload["complex"]["facets"]))
+        agrees = oracle_facets == set(map(_mask_of, complex_["facets"]))
 
     out = {"n": params.n, "ell": params.ell}
-    out.update(payload["complex"])
+    out.update(complex_)
     if args.arrangement:
-        out["poset"] = payload["poset"]
-        out["char_poly"] = payload["poset"]["char_poly"]
+        out["poset"] = poset
+        out["char_poly"] = poset["char_poly"]
     print(_dump(out))
 
     if not agrees:

@@ -45,6 +45,18 @@ def is_prime(x: int) -> bool:
     return True
 
 
+def _n_text(base: int, exp: int, factor: int = 1) -> str:
+    """n = base^exp·factor for a capacity message: in decimal, or as that
+    product where n would take more than 2^16 bits to build or more digits
+    than `str` prints."""
+    if exp * base.bit_length() + factor.bit_length() <= 1 << 16:
+        try:
+            return str(base**exp * factor)
+        except ValueError:  # the interpreter's int-to-str digit limit
+            pass
+    return f"{base}^{exp}" if factor == 1 else f"{base}^{exp}·{factor}"
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """One family instance; exactly the fields for its kind are set."""
@@ -62,30 +74,33 @@ class FamilySpec:
             raise ValueError(f"rho must be a positive odd integer, got {rho}")
         if m < 0:
             raise ValueError(f"m must be nonnegative, got {m}")
-        if 2 ** (m + 1) * rho > BUILD_CAP:
-            raise CapacityError(f"doubling({rho},{m}) needs n = {2 ** (m + 1) * rho} > {BUILD_CAP}")
+        # 2^(m+1) ≥ 2^7 > BUILD_CAP once m ≥ 6, so n is built only below that
+        if m + 1 >= BUILD_CAP.bit_length() or 2 ** (m + 1) * rho > BUILD_CAP:
+            raise CapacityError(f"doubling({rho},{m}) needs n = {_n_text(2, m + 1, rho)} > {BUILD_CAP}")
         return cls("doubling", rho=rho, m=m)
 
     @classmethod
     def prime_power(cls, p: int, e: int) -> "FamilySpec":
+        # the cap is checked before the primality test, whose trial division
+        # grinds on a large p; for p ≥ 2, p^e passes the cap once p does or e ≥ 7
+        if p > 1 and e > 0 and (p > BUILD_CAP or e >= BUILD_CAP.bit_length() or p**e > BUILD_CAP):
+            raise CapacityError(f"prime_power({p},{e}) needs n = {_n_text(p, e)} > {BUILD_CAP}")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if e < 1:
             raise ValueError(f"e must be positive, got {e}")
-        if p**e > BUILD_CAP:
-            raise CapacityError(f"prime_power({p},{e}) needs n = {p ** e} > {BUILD_CAP}")
         return cls("prime-power", p=p, e=e)
 
     @classmethod
     def arms_legs(cls, p: int, s: int) -> "FamilySpec":
+        if 2 * p > BUILD_CAP:  # before the primality test, as in `prime_power`
+            raise CapacityError(f"arms_legs({p},{s}) needs n = {_n_text(2, 1, p)} > {BUILD_CAP}")
         if not is_prime(p) or p == 2:
             raise ValueError(f"p must be an odd prime, got {p}")
         if s not in (1, 2, 3):
             raise ValueError(f"s must be 1, 2 or 3, got {s}")
         if s == 3 and p < 5:
             raise ValueError("s = 3 requires p >= 5")
-        if 2 * p > BUILD_CAP:
-            raise CapacityError(f"arms_legs({p},{s}) needs n = {2 * p} > {BUILD_CAP}")
         return cls("arms-legs", p=p, s=s)
 
     @property
@@ -209,10 +224,12 @@ def expected_char_poly_discrepancies(spec: FamilySpec) -> tuple[int, ...]:
 
 
 def expected_rank(spec: FamilySpec) -> int:
-    """Poset rank the family is expected to have (1 for a lone facet)."""
-    if spec.kind == "arms-legs" and spec.s in (1, 3):
-        return 3
-    return 1 if len(family_facets(spec)._facet_masks) == 1 else 2
+    """Poset rank the family is expected to have (1 for a lone facet), from
+    the closed-form facet counts: 2^m, e(p-1), and at least the p-1 ≥ 2 arms."""
+    if spec.kind == "arms-legs":
+        return 3 if spec.s in (1, 3) else 2
+    facets = 2**spec.m if spec.kind == "doubling" else spec.e * (spec.p - 1)
+    return 1 if facets == 1 else 2
 
 
 def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:

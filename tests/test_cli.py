@@ -139,27 +139,33 @@ def test_cache_roundtrip_byte_identical(capsys, tmp_cache):
     assert (tmp_cache / files[0]).read_bytes() == older
 
 
-def test_cache_lazy_poset_upgrade(capsys, tmp_cache):
+def test_arrangement_hit_writes_nothing(capsys, tmp_cache):
+    code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache", "--arrangement")
+    assert code == 0
     run_cli(capsys, "compute", "12", "6")
     path = tmp_cache / "complex-n12-l6-v1.json"
+    stored = path.read_bytes()
+    assert list(json.loads(stored)["payload"]) == ["complex"]
+
+    # the poset is built on every --arrangement, from the cached complex, and never stored
+    for _ in range(2):
+        assert run_cli(capsys, "compute", "12", "6", "--arrangement") == (0, reference, "")
+        assert path.read_bytes() == stored
+    assert [p.name for p in tmp_cache.iterdir()] == [path.name]
+
+
+def test_arrangement_miss_stores_the_complex_before_the_poset(capsys, tmp_cache, monkeypatch):
+    code, reference, _ = run_cli(capsys, "compute", "9", "8", "--no-cache")
+    assert code == 0
+    with monkeypatch.context() as m:
+        m.setattr(arr, "POSET_ELEMENT_CAP", 2)
+        code, out, err = run_cli(capsys, "compute", "9", "8", "--arrangement")
+    assert code == 4 and out == "" and err.startswith("capacity exceeded")
+    path = tmp_cache / "complex-n9-l8-v1.json"
     assert list(json.loads(path.read_bytes())["payload"]) == ["complex"]
-
-    code, first, _ = run_cli(capsys, "compute", "12", "6", "--arrangement")
-    assert code == 0
-    payload = json.loads(path.read_bytes())["payload"]
-    assert sorted(payload) == ["complex", "poset"]
-
-    upgraded = path.read_bytes()
-    code, second, _ = run_cli(capsys, "compute", "12", "6", "--arrangement")
-    assert code == 0
-    assert second == first
-    assert path.read_bytes() == upgraded
-
-    # plain compute after the upgrade still works and leaves the entry alone
-    code, plain, _ = run_cli(capsys, "compute", "12", "6")
-    assert code == 0
-    assert json.loads(plain)["f_vector"] == [1, 6, 6, 2]
-    assert path.read_bytes() == upgraded
+    stored = path.read_bytes()
+    assert run_cli(capsys, "compute", "9", "8") == (0, reference, "")  # a hit
+    assert path.read_bytes() == stored
 
 
 def test_no_cache_flag_writes_nothing(capsys, tmp_cache):
@@ -296,30 +302,31 @@ def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):
     payload = json.loads(path.read_bytes())["payload"]  # rewritten
     printed = json.loads(reference)
     assert payload["complex"] == {key: printed[key] for key in cli.COMPLEX_KEYS}
-    assert not isinstance(payload.get("poset"), list)
+    assert list(payload) == ["complex"]
 
 
-def test_poset_is_checked_only_where_it_is_printed(capsys, tmp_cache, monkeypatch):
-    code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache")
+@pytest.mark.parametrize(
+    "poset",
+    [
+        None,  # the poset of Δ_{12,6}, as older versions stored it
+        {"char_poly": "bogus"},
+        {"elements": [{"bogus": True}], "hasse": [[0, 99]]},
+    ],
+    ids=["well-formed", "bogus-char-poly", "bogus-elements"],
+)
+@pytest.mark.parametrize("flags", [[], ["--arrangement"]], ids=["plain", "arrangement"])
+def test_cached_poset_is_a_miss(capsys, tmp_cache, poset, flags):
+    code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache", *flags)
     assert code == 0
-    _, arranged, _ = run_cli(capsys, "compute", "12", "6", "--no-cache", "--arrangement")
     run_cli(capsys, "compute", "12", "6")
     path = tmp_cache / "complex-n12-l6-v1.json"
     entry = json.loads(path.read_bytes())
-    entry["payload"]["poset"] = {"char_poly": "bogus"}
+    good = arr.build_poset(build_complex(ZsfParams(12, 6))).to_json()
+    entry["payload"]["poset"] = good if poset is None else dict(good, **poset)
     path.write_text(json.dumps(entry))
-    damaged = path.read_bytes()
 
-    # a plain hit neither checks nor repairs the poset
-    assert run_cli(capsys, "compute", "12", "6") == (0, reference, "")
-    assert path.read_bytes() == damaged
-
-    # --arrangement rebuilds the poset alone, on the cached complex
-    monkeypatch.setattr(cli, "_complex_payload", None)
-    assert run_cli(capsys, "compute", "12", "6", "--arrangement") == (0, arranged, "")
-    payload = json.loads(path.read_bytes())["payload"]
-    assert payload["complex"] == entry["payload"]["complex"]
-    assert cli._poset_ok(payload["poset"])
+    assert run_cli(capsys, "compute", "12", "6", *flags) == (0, reference, "")
+    assert list(json.loads(path.read_bytes())["payload"]) == ["complex"]  # rewritten
 
 
 def test_unwritable_cache_warns_and_computes(capsys, tmp_cache):
@@ -408,6 +415,38 @@ def test_family_capacity(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "family", "doubling", "--rho", "31", "--m", "0", "--oracle")
     assert code == 4 and "capacity exceeded" in err
     assert out == ""
+
+
+def test_family_capacity_past_the_digit_limit(capsys):
+    # n is compared with the cap without being built, and printed as a power
+    # where its decimal would pass the int-to-str digit limit
+    cases = [
+        (["doubling", "--rho", "3", "--m", "20000"], "doubling(3,20000) needs n = 2^20001·3 > 64"),
+        (["prime-power", "--p", "3", "--e", "10000"], "prime_power(3,10000) needs n = 3^10000 > 64"),
+        (["doubling", "--rho", "3", "--m", "100"],
+         f"doubling(3,100) needs n = {3 * 2 ** 101} > 64"),
+    ]
+    for argv, message in cases:
+        assert run_cli(capsys, "family", *argv) == (4, "", f"capacity exceeded: {message}\n"), argv
+
+
+def test_family_capacity_before_primality(capsys, monkeypatch):
+    is_prime = fam.is_prime
+
+    def small_only(p):
+        assert p <= 64, f"primality tested on {p}, past the cap"
+        return is_prime(p)
+
+    monkeypatch.setattr(fam, "is_prime", small_only)
+    for argv in [
+        ["prime-power", "--p", "1000000000000037", "--e", "1"],
+        ["prime-power", "--p", "100", "--e", "1"],  # not prime: exit 4, not 2
+        ["arms-legs", "--p", "1000000000000037", "--s", "1"],
+        ["arms-legs", "--p", "35", "--s", "2"],
+    ]:
+        code, out, err = run_cli(capsys, "family", *argv)
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("capacity exceeded"), argv
 
 
 def test_family_mismatch_exit(capsys, monkeypatch):
