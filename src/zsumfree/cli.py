@@ -14,16 +14,19 @@ Commands:
 * cache-clear     — delete cached artifacts.
 
 Exit codes: 0 ok, 2 invalid parameters, 3 oracle or family mismatch,
-4 capacity exceeded, 5 conjecture counterexample found.
+4 capacity exceeded, 5 conjecture counterexample found, 141 stdout closed
+before the output was written (128 + SIGPIPE).
 
-Artifacts are cached under $ZSF_CACHE_DIR (default ~/.cache/zsumfree), keyed
-by (n, ℓ, artifact version); cached payloads are byte-stable.  An entry
-holds the complex only: `--arrangement` builds the poset on every call and
-never writes.  Bumping the artifact version invalidates old entries.  A
-cache that cannot be read or written never fails a command: an unreadable
-entry is a miss, a failed write prints a one-line warning to stderr and
-leaves stdout and the exit code as with --no-cache, and `cache-clear` warns
-about each entry it cannot remove and goes on.
+Artifacts are cached under $ZSF_CACHE_DIR (default ~/.cache/zsumfree), one
+file per (n, ℓ) whose name carries the artifact version.  An entry is the
+text `compute n ℓ` prints, without its final newline: a hit that passes the
+checks of `load_cached_payload` prints it as stored, and `--arrangement`
+adds the poset, built on every call and never written.  Bumping the
+artifact version invalidates old entries.  A cache that cannot be read or
+written never fails a command: an unreadable entry is a miss, a failed
+write prints a one-line warning to stderr and leaves stdout and the exit
+code as with --no-cache, and `cache-clear` warns about each entry it cannot
+remove and goes on.
 """
 
 from __future__ import annotations
@@ -52,17 +55,17 @@ from .complexes import (
 from .conjectures import N_MAX_CAP, SCANNERS
 from .families import FamilySpec, family_report_ok, verify_family
 from .zerosumfree import (
-    BRUTE_FORCE_CAP,
     ZsfParams,
     _f_vector,
     brute_force_complex,
     build_complex,
+    check_oracle_capacity,
     minimal_nonfaces,
 )
 
 ARTIFACT_VERSION = "1"
-# the keys `_complex_payload` writes; a cached complex with any other set is a miss
-COMPLEX_KEYS = {"facets", "min_nonfaces", "f_vector", "h_vector", "pure", "connected", "decomposition"}
+# the keys `_complex_payload` writes; a cache entry with any other set is a miss
+ENTRY_KEYS = {"n", "ell", "facets", "min_nonfaces", "f_vector", "h_vector", "pure", "connected", "decomposition"}
 # `scan`'s range flags and their defaults; `SCANNERS` names the flag each scanner takes
 SCAN_DEFAULTS = {"p_max": 11, "n_max": 19, "max_sum": 30}
 
@@ -71,6 +74,7 @@ EXIT_INVALID = 2
 EXIT_MISMATCH = 3
 EXIT_CAPACITY = 4
 EXIT_COUNTEREXAMPLE = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _dump(obj) -> str:
@@ -127,7 +131,9 @@ def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        os.write(fd, data)
+        view = memoryview(data)
+        while view:  # os.write may write fewer bytes than it is given
+            view = view[os.write(fd, view):]
         os.close(fd)
         os.replace(tmp, path)
     except BaseException:
@@ -140,67 +146,67 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def load_cached_payload(n: int, ell: int) -> dict | None:
-    """The cached payload for (n, ℓ), or None when the entry is missing, stale
-    or malformed; None means recompute.  Only the shape and the types are
-    checked: the payload must hold the one key `complex` (an entry that also
-    holds a `poset`, as older versions wrote, is a miss and gets rewritten
-    without it), and `complex` exactly the keys `_complex_payload` writes,
-    with `facets` and `min_nonfaces` lists of lists of ints in 0..n-1,
-    `f_vector` and `h_vector` lists of ints, `pure` and `connected` bools and
-    `decomposition` null or a list of ints."""
-    path = _cache_path(n, ell)
+def load_cached_payload(n: int, ell: int) -> tuple[str, dict, SimplicialComplex] | None:
+    """The cached entry for (n, ℓ) as (its text, the object it holds, the
+    complex of its facets), or None when the entry is missing or malformed;
+    None means recompute.  The entry is the text `compute n ℓ` prints, so it
+    must hold exactly the keys `_complex_payload` writes: `n` and `ell` the
+    ints asked for, `facets` and `min_nonfaces` lists of lists of ints in
+    0..n-1, `f_vector` and `h_vector` lists of ints, `pure` and `connected`
+    bools and `decomposition` null or a list of ints.  The facets must make
+    a complex that `SimplicialComplex.from_masks` accepts, listed as it
+    lists them: each facet's vertices ascending, the facets in its order."""
     try:
-        entry = json.loads(path.read_text())
+        text = _cache_path(n, ell).read_text()
+        entry = json.loads(text)
     except (OSError, ValueError):
         return None
-    key = {"n": n, "ell": ell, "version": ARTIFACT_VERSION}
-    if not isinstance(entry, dict) or entry.get("key") != key:
+    if not isinstance(entry, dict) or entry.keys() != ENTRY_KEYS:
         return None
-    payload = entry.get("payload")
-    if not isinstance(payload, dict) or payload.keys() != {"complex"}:
+    if {type(entry["pure"]), type(entry["connected"])} != {bool}:
         return None
-    complex_ = payload["complex"]
-    if not isinstance(complex_, dict) or complex_.keys() != COMPLEX_KEYS:
-        return None
-    if {type(complex_["pure"]), type(complex_["connected"])} != {bool}:
-        return None
-    decomposition = complex_["decomposition"]
-    counts = [complex_["f_vector"], complex_["h_vector"], [] if decomposition is None else decomposition]
+    decomposition = entry["decomposition"]
+    counts = [entry["f_vector"], entry["h_vector"], [] if decomposition is None else decomposition]
     if set(map(type, counts)) != {list}:
         return None
     vertices = []
     for key in ("facets", "min_nonfaces"):
-        sets = complex_[key]
+        sets = entry[key]
         if not isinstance(sets, list) or set(map(type, sets)) - {list}:
             return None
         vertices += chain.from_iterable(sets)
-    # one C-level pass over the types (a bool or float is no vertex and no
-    # count), then the range of the vertices
-    if set(map(type, chain(vertices, *counts))) - {int} or (vertices and not 0 <= min(vertices) <= max(vertices) < n):
+    # one C-level pass over the types (a bool or float is no vertex, no
+    # count and no parameter), then the parameters and the vertex range
+    parameters = [entry["n"], entry["ell"]]
+    if set(map(type, chain(parameters, vertices, *counts))) - {int} or parameters != [n, ell]:
         return None
-    return payload
+    if vertices and not 0 <= min(vertices) <= max(vertices) < n:
+        return None
+    facets = entry["facets"]
+    try:
+        c = SimplicialComplex.from_masks((1 << n) - 1, [_mask_of(f) for f in facets])
+    except ValueError:
+        return None
+    if [list(_vertices_of(m)) for m in c._facet_masks] != facets:
+        return None
+    return text, entry, c
 
 
-def store_payload(n: int, ell: int, payload: dict) -> None:
-    entry = {
-        "key": {"n": n, "ell": ell, "version": ARTIFACT_VERSION},
-        "payload": payload,
-    }
-    data = json.dumps(entry, sort_keys=True, separators=(",", ":")).encode()
-    _atomic_write(_cache_path(n, ell), data)
+def store_payload(n: int, ell: int, text: str) -> None:
+    _atomic_write(_cache_path(n, ell), text.encode())
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _complex_payload(params: ZsfParams) -> dict:
-    c = build_complex(params)
+def _complex_payload(params: ZsfParams, c: SimplicialComplex) -> dict:
     mnf = minimal_nonfaces(params)
     f = _f_vector(params, mnf, c)
     decomposition = decompose_disjoint_simplices(c)
     return {
+        "n": params.n,
+        "ell": params.ell,
         "facets": [list(_vertices_of(m)) for m in c._facet_masks],
         "min_nonfaces": [list(_vertices_of(m)) for m in mnf],
         "f_vector": f,
@@ -215,35 +221,31 @@ def cmd_compute(args) -> int:
     params = ZsfParams(args.n, args.ell)
     use_cache = not args.no_cache
     # n alone decides the oracle's cap, so refuse before any cache or build work
-    if args.oracle and params.n > BRUTE_FORCE_CAP:
-        raise CapacityError(f"brute_force_complex supports n ≤ {BRUTE_FORCE_CAP}, got {params.n}")
+    if args.oracle:
+        check_oracle_capacity(params.n)
 
-    payload = load_cached_payload(params.n, params.ell) if use_cache else None
-    if payload is None:
-        payload = {"complex": _complex_payload(params)}
+    entry = load_cached_payload(params.n, params.ell) if use_cache else None
+    if entry is not None:
+        text, out, c = entry
+    else:
+        c = build_complex(params)
+        out = _complex_payload(params, c)
+        text = None
         if use_cache:
+            text = _dump(out)
             try:
-                store_payload(params.n, params.ell, payload)
+                store_payload(params.n, params.ell, text)
             except OSError as exc:
                 print(f"warning: cache entry not written: {exc}", file=sys.stderr)
-    complex_ = payload["complex"]
 
     # the poset and the oracle run before anything is printed, so a capacity
     # error leaves stdout empty; the poset is never cached
     if args.arrangement:
-        facets = [_mask_of(f) for f in complex_["facets"]]
-        poset = build_poset(SimplicialComplex.from_masks((1 << params.n) - 1, facets)).to_json()
-    agrees = True
-    if args.oracle:
-        oracle_facets = set(brute_force_complex(params)._facet_masks)
-        agrees = oracle_facets == set(map(_mask_of, complex_["facets"]))
-
-    out = {"n": params.n, "ell": params.ell}
-    out.update(complex_)
-    if args.arrangement:
-        out["poset"] = poset
-        out["char_poly"] = poset["char_poly"]
-    print(_dump(out))
+        poset = build_poset(c).to_json()
+        out.update(poset=poset, char_poly=poset["char_poly"])
+        text = None
+    agrees = not args.oracle or brute_force_complex(params) == c
+    print(_dump(out) if text is None else text)
 
     if not agrees:
         print(f"oracle mismatch for n={params.n} ell={params.ell}", file=sys.stderr)
@@ -405,7 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -34,7 +34,7 @@ from .complexes import (
 )
 from .families import is_prime
 from .partitions import enumerate_partitions
-from .zerosumfree import ZsfParams, build_complex
+from .zerosumfree import ZsfParams, build_complex, check_ints
 
 N_MAX_CAP = 24  # the sweep limit on n for `table` and the scans (isolated: n = 2p)
 MAX_SUM_CAP = 40  # log-concavity: 8,696 partitions with distinct parts, 215,307 in all
@@ -66,6 +66,7 @@ def _scan(conjecture: str, rng: dict, cap: int, instances, check) -> ScanReport:
     report counts the instances.
     """
     flag, value = next(iter(rng.items()))
+    check_ints(**{flag: value})
     if value > cap:
         raise CapacityError(f"{flag} must be at most {cap}, got {value}")
     start = time.perf_counter()

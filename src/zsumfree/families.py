@@ -31,7 +31,15 @@ from .complexes import (
     is_connected,
     is_pure,
 )
-from .zerosumfree import BRUTE_FORCE_CAP, BUILD_CAP, ZsfParams, brute_force_complex, build_complex
+from .zerosumfree import (
+    BRUTE_FORCE_CAP,
+    BUILD_CAP,
+    ZsfParams,
+    brute_force_complex,
+    build_complex,
+    check_ints,
+    check_oracle_capacity,
+)
 
 
 def is_prime(x: int) -> bool:
@@ -70,6 +78,7 @@ class FamilySpec:
 
     @classmethod
     def doubling(cls, rho: int, m: int) -> "FamilySpec":
+        check_ints(rho=rho, m=m)
         if rho < 1 or rho % 2 == 0:
             raise ValueError(f"rho must be a positive odd integer, got {rho}")
         if m < 0:
@@ -81,6 +90,7 @@ class FamilySpec:
 
     @classmethod
     def prime_power(cls, p: int, e: int) -> "FamilySpec":
+        check_ints(p=p, e=e)
         # the cap is checked before the primality test, whose trial division
         # grinds on a large p; for p ≥ 2, p^e passes the cap once p does or e ≥ 7
         if p > 1 and e > 0 and (p > BUILD_CAP or e >= BUILD_CAP.bit_length() or p**e > BUILD_CAP):
@@ -93,6 +103,7 @@ class FamilySpec:
 
     @classmethod
     def arms_legs(cls, p: int, s: int) -> "FamilySpec":
+        check_ints(p=p, s=s)
         if 2 * p > BUILD_CAP:  # before the primality test, as in `prime_power`
             raise CapacityError(f"arms_legs({p},{s}) needs n = {_n_text(2, 1, p)} > {BUILD_CAP}")
         if not is_prime(p) or p == 2:
@@ -239,8 +250,8 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
     True forces it (capacity error beyond 24, raised before any build),
     False skips it.
     """
-    if oracle and spec.n > BRUTE_FORCE_CAP:
-        raise CapacityError(f"brute_force_complex supports n ≤ {BRUTE_FORCE_CAP}, got {spec.n}")
+    if oracle:
+        check_oracle_capacity(spec.n)
     params = ZsfParams(spec.n, spec.ell)
     closed = family_facets(spec)
     computed = build_complex(params)

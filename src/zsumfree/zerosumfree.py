@@ -37,6 +37,19 @@ BRUTE_FORCE_CAP = 24
 FACET_COUNT_CAP = 4096
 
 
+def check_ints(**values) -> None:
+    """Raise ValueError unless every value is an int; a bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def check_oracle_capacity(n: int) -> None:
+    """Raise CapacityError unless `brute_force_complex` takes n."""
+    if n > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute_force_complex supports n ≤ {BRUTE_FORCE_CAP}, got {n}")
+
+
 @dataclass(frozen=True)
 class ZsfParams:
     """Parameters (n, ell) with 0 < ell < n."""
@@ -45,10 +58,7 @@ class ZsfParams:
     ell: int
 
     def __post_init__(self):
-        for name in ("n", "ell"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        check_ints(n=self.n, ell=self.ell)
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not 0 < self.ell < self.n:
@@ -497,8 +507,7 @@ def brute_force_complex(params: ZsfParams) -> SimplicialComplex:
     string search, one Python step per facet.
     """
     n, ell = params.n, params.ell
-    if n > BRUTE_FORCE_CAP:
-        raise CapacityError(f"brute_force_complex supports n ≤ {BRUTE_FORCE_CAP}, got {n}")
+    check_oracle_capacity(n)
     half = 1 << (n - 2)  # the size of the top block, that of vertex n-1
     # layer[r][v - 1] is block v for residue r; R_0 = {0} for every subset
     layer = [[(1 << (1 << (v - 1))) - 1 for v in range(1, n)]]

@@ -93,8 +93,7 @@ def test_compute_capacity_exits(capsys, monkeypatch, tmp_cache):
     with monkeypatch.context() as m:
         m.setattr(cli, "build_complex", no_build)
         code, out, err = run_cli(capsys, "compute", "25", "24", "--oracle")
-    assert code == 4 and "capacity exceeded" in err
-    assert out == ""
+    assert (code, out, err) == (4, "", "capacity exceeded: brute_force_complex supports n ≤ 24, got 25\n")
     assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
     # intersection closure beyond the poset element cap
     monkeypatch.setattr(arr, "POSET_ELEMENT_CAP", 2)
@@ -115,37 +114,76 @@ def test_compute_single_facet_top_of_range(capsys):
 # cache
 
 
+def _envelope(n, ell, printed):
+    """The entry an earlier version wrote for the printed `compute n ℓ`: the
+    complex, compact, in a {key, payload} envelope."""
+    complex_ = {k: v for k, v in json.loads(printed).items() if k not in ("n", "ell")}
+    entry = {"key": {"n": n, "ell": ell, "version": "1"}, "payload": {"complex": complex_}}
+    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
+
+
 def test_cache_roundtrip_byte_identical(capsys, tmp_cache):
     code, first, _ = run_cli(capsys, "compute", "9", "8")
     assert code == 0
     files = sorted(p.name for p in tmp_cache.iterdir())
     assert files == ["complex-n9-l8-v1.json"]
-    before = (tmp_cache / files[0]).read_bytes()
-    entry = json.loads(before)
-    assert entry["key"] == {"n": 9, "ell": 8, "version": "1"}
-    assert set(entry) == {"key", "payload"}
+    path = tmp_cache / files[0]
+    before = path.read_bytes()
+    assert before.decode() + "\n" == first  # the entry is the printed text
 
     code, second, _ = run_cli(capsys, "compute", "9", "8")
     assert code == 0
     assert second == first
-    assert (tmp_cache / files[0]).read_bytes() == before  # hit does not rewrite
+    assert path.read_bytes() == before  # hit does not rewrite
 
-    # an entry written when the cache still stamped `created_at` is a hit too
-    older = json.dumps(dict(entry, created_at="2024-01-01T00:00:00+00:00")).encode()
-    (tmp_cache / files[0]).write_bytes(older)
+    # an entry whose whitespace was edited by hand passes the checks and is
+    # printed as stored
+    edited = json.dumps(json.loads(before))
+    path.write_text(edited)
     code, third, _ = run_cli(capsys, "compute", "9", "8")
-    assert code == 0
-    assert third == first
-    assert (tmp_cache / files[0]).read_bytes() == older
+    assert (code, third) == (0, edited + "\n")
+    assert json.loads(third) == json.loads(first)
+    assert path.read_text() == edited
+
+
+def test_entry_is_the_plain_stdout_for_every_small_pair(capsys, tmp_cache, monkeypatch):
+    stores = []
+    store = cli.store_payload
+
+    def counted(n, ell, text):
+        stores.append((n, ell))
+        store(n, ell, text)
+
+    monkeypatch.setattr(cli, "store_payload", counted)
+    for n in range(2, 11):
+        for ell in range(1, n):
+            argv = ["compute", str(n), str(ell)]
+            plain = run_cli(capsys, *argv, "--no-cache")
+            arranged = run_cli(capsys, *argv, "--no-cache", "--arrangement")
+            assert plain[0] == arranged[0] == 0
+            path = tmp_cache / f"complex-n{n}-l{ell}-v1.json"
+            for flags, reference in [([], plain), (["--arrangement"], arranged)]:
+                for stale in (None, _envelope(n, ell, plain[1])):
+                    if stale is None:
+                        path.unlink(missing_ok=True)
+                    else:
+                        path.write_text(stale)
+                    del stores[:]
+                    assert run_cli(capsys, *argv, *flags) == reference  # a miss
+                    assert stores == [(n, ell)]
+                    stored = path.read_bytes()
+                    assert stored.decode() == plain[1][:-1]
+                    assert run_cli(capsys, *argv, *flags) == reference  # a hit
+                    assert stores == [(n, ell)] and path.read_bytes() == stored
 
 
 def test_arrangement_hit_writes_nothing(capsys, tmp_cache):
     code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache", "--arrangement")
     assert code == 0
-    run_cli(capsys, "compute", "12", "6")
+    plain = run_cli(capsys, "compute", "12", "6")[1]
     path = tmp_cache / "complex-n12-l6-v1.json"
     stored = path.read_bytes()
-    assert list(json.loads(stored)["payload"]) == ["complex"]
+    assert stored.decode() + "\n" == plain
 
     # the poset is built on every --arrangement, from the cached complex, and never stored
     for _ in range(2):
@@ -162,10 +200,24 @@ def test_arrangement_miss_stores_the_complex_before_the_poset(capsys, tmp_cache,
         code, out, err = run_cli(capsys, "compute", "9", "8", "--arrangement")
     assert code == 4 and out == "" and err.startswith("capacity exceeded")
     path = tmp_cache / "complex-n9-l8-v1.json"
-    assert list(json.loads(path.read_bytes())["payload"]) == ["complex"]
     stored = path.read_bytes()
+    assert stored.decode() + "\n" == reference
     assert run_cli(capsys, "compute", "9", "8") == (0, reference, "")  # a hit
     assert path.read_bytes() == stored
+
+
+def test_short_writes_still_store_the_whole_entry(capsys, tmp_cache, monkeypatch):
+    code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache")
+    assert code == 0
+    write = os.write
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", lambda fd, data: write(fd, data[:100]))
+        assert run_cli(capsys, "compute", "12", "6") == (0, reference, "")
+    path = tmp_cache / "complex-n12-l6-v1.json"
+    assert path.read_text() + "\n" == reference
+    inode = path.stat().st_ino
+    assert run_cli(capsys, "compute", "12", "6") == (0, reference, "")
+    assert path.stat().st_ino == inode  # a hit: a rewrite would replace the file
 
 
 def test_no_cache_flag_writes_nothing(capsys, tmp_cache):
@@ -177,23 +229,27 @@ def test_no_cache_flag_writes_nothing(capsys, tmp_cache):
 def test_corrupt_and_mismatched_cache_entries_are_ignored(capsys, tmp_cache):
     run_cli(capsys, "compute", "6", "3")
     path = tmp_cache / "complex-n6-l3-v1.json"
-    reference = json.loads(run_cli(capsys, "compute", "6", "3")[1])
+    reference = run_cli(capsys, "compute", "6", "3")[1]
 
     path.write_text("{ not json")
-    code, out, _ = run_cli(capsys, "compute", "6", "3")
-    assert code == 0 and json.loads(out) == reference
+    assert run_cli(capsys, "compute", "6", "3") == (0, reference, "")
 
-    entry = {"key": {"n": 7, "ell": 3, "version": "1"}, "created_at": "x", "payload": {}}
-    path.write_text(json.dumps(entry))
-    code, out, _ = run_cli(capsys, "compute", "6", "3")
-    assert code == 0 and json.loads(out) == reference
+    # the entry of another (n, ℓ), and one with ℓ = 1 as a bool
+    other = run_cli(capsys, "compute", "7", "3", "--no-cache")[1]
+    path.write_text(other)
+    assert run_cli(capsys, "compute", "6", "3") == (0, reference, "")
+    reference = run_cli(capsys, "compute", "6", "1")[1]
+    path = tmp_cache / "complex-n6-l1-v1.json"
+    path.write_text(json.dumps(dict(json.loads(reference), ell=True)))
+    assert run_cli(capsys, "compute", "6", "1") == (0, reference, "")
+    assert path.read_text() + "\n" == reference
 
 
 @pytest.mark.parametrize(
     "entry",
     [
-        {"key": {"n": 12, "ell": 6, "version": "1"}, "payload": {}},
-        {"key": {"n": 12, "ell": 6, "version": "1"}, "payload": {"complex": [[1, 5, 9]]}},
+        {"n": 12, "ell": 6},
+        {"n": 12, "ell": 6, "facets": [[1, 5, 9]]},
         [],
     ],
 )
@@ -207,30 +263,36 @@ def test_malformed_cache_entry_is_recomputed(capsys, tmp_cache, entry):
     code, out, err = run_cli(capsys, "compute", "12", "6")
     assert code == 0, err
     assert out == reference
-    assert isinstance(json.loads(path.read_bytes())["payload"]["complex"], dict)  # rewritten
+    assert path.read_text() + "\n" == reference  # rewritten
+
+
+def _empty_complex(entry):
+    """Damage: keep only `n` and `ell`."""
+    for key in cli.ENTRY_KEYS - {"n", "ell"}:
+        del entry[key]
 
 
 def _set_vertex(key, value):
-    """Damage: overwrite the first vertex of the first set under `complex[key]`."""
-    return lambda payload: payload["complex"][key][0].__setitem__(0, value)
+    """Damage: overwrite the first vertex of the first set under `entry[key]`."""
+    return lambda entry: entry[key][0].__setitem__(0, value)
 
 
 def _set_value(key, value, index=None):
-    """Damage: overwrite `complex[key]`, or its item at `index`."""
+    """Damage: overwrite `entry[key]`, or its item at `index`."""
     if index is None:
-        return lambda payload: payload["complex"].__setitem__(key, value)
-    return lambda payload: payload["complex"][key].__setitem__(index, value)
+        return lambda entry: entry.__setitem__(key, value)
+    return lambda entry: entry[key].__setitem__(index, value)
 
 
 def _set_poset(drop=None, **fields):
-    """Damage: store a poset of Δ_{12,6} that is well formed but for `fields`,
+    """Damage: add a poset of Δ_{12,6} that is well formed but for `fields`,
     and lacks the key `drop`."""
 
-    def damage(payload):
+    def damage(entry):
         poset = arr.build_poset(build_complex(ZsfParams(12, 6))).to_json()
         poset.update(fields)
         poset.pop(drop, None)
-        payload["poset"] = poset
+        entry["poset"] = poset
 
     return damage
 
@@ -238,16 +300,16 @@ def _set_poset(drop=None, **fields):
 @pytest.mark.parametrize(
     "damage, flags",
     [
-        (lambda payload: payload.update(complex={}), []),
-        (lambda payload: payload.update(complex={}), ["--oracle"]),
-        (lambda payload: payload.update(poset=[]), ["--arrangement"]),
+        (_empty_complex, []),
+        (_empty_complex, ["--oracle"]),
+        (lambda entry: entry.update(poset=[]), ["--arrangement"]),
         (_set_vertex("facets", 1.5), []),  # [1.5, 5, 9]
         (_set_vertex("facets", 1.5), ["--arrangement"]),
         (_set_vertex("facets", True), []),
         (_set_vertex("facets", 12), ["--arrangement"]),
         (_set_vertex("min_nonfaces", -1), []),
         (_set_vertex("min_nonfaces", "0"), ["--arrangement"]),
-        (lambda payload: payload["complex"]["min_nonfaces"].append(3), []),
+        (lambda entry: entry["min_nonfaces"].append(3), []),
         (_set_value("f_vector", 6.5, 1), []),
         (_set_value("f_vector", "1,6,6,2"), []),
         (_set_value("h_vector", True, 0), ["--arrangement"]),
@@ -257,8 +319,8 @@ def _set_poset(drop=None, **fields):
         (_set_value("decomposition", 3.0, 0), []),
         (_set_value("decomposition", "(3,3)"), []),
         (_set_value("decomposition", False), []),
-        (lambda payload: payload.update(poset={"char_poly": "bogus"}), ["--arrangement"]),
-        (lambda payload: payload.update(poset={"char_poly": "bogus"}), []),
+        (lambda entry: entry.update(poset={"char_poly": "bogus"}), ["--arrangement"]),
+        (lambda entry: entry.update(poset={"char_poly": "bogus"}), []),
         (_set_poset(drop="rank"), ["--arrangement"]),
         (_set_poset(extra=1), ["--arrangement"]),
         (_set_poset(char_poly="bogus"), ["--arrangement"]),
@@ -272,6 +334,17 @@ def _set_poset(drop=None, **fields):
         (_set_poset(hasse=[0, 1]), ["--arrangement"]),
         (_set_poset(elements=[["ambient", 6, 1]]), ["--arrangement"]),
         (_set_poset(elements={}), ["--arrangement"]),
+        (_set_value("n", 13), []),
+        (_set_value("ell", 6.0), ["--arrangement"]),
+        (_set_value("ell", "6"), []),
+        (lambda entry: entry.pop("n"), []),
+        (_set_value("facets", [[1], [1, 5, 9]]), []),
+        (_set_value("facets", [[1], [1, 5, 9]]), ["--arrangement"]),
+        (_set_value("facets", [[1, 5, 9], [1, 5, 9]]), ["--oracle"]),
+        (_set_value("facets", []), []),
+        (_set_value("facets", [[3, 7, 11], [1, 5, 9]]), []),
+        (_set_value("facets", [[9, 5, 1], [3, 7, 11]]), ["--oracle"]),
+        (_set_value("facets", [[1, 1, 5, 9], [3, 7, 11]]), ["--arrangement"]),
     ],
     ids=[
         "empty-complex", "empty-complex-oracle", "list-poset",
@@ -285,30 +358,44 @@ def _set_poset(drop=None, **fields):
         "str-char-poly", "float-char-poly-entry", "str-graded", "int-graded",
         "float-rank", "str-rank", "hasse-triple", "str-hasse-entry", "hasse-of-ints",
         "elements-of-lists", "dict-elements",
+        "other-n", "float-ell-arrangement", "str-ell", "no-n",
+        "nested-facets", "nested-facets-arrangement", "repeated-facet-oracle", "no-facets",
+        "facets-out-of-order", "unsorted-facet-oracle", "repeated-vertex-arrangement",
     ],
 )
 def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):
     code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache", *flags)
     assert code == 0
-    run_cli(capsys, "compute", "12", "6")
+    plain = run_cli(capsys, "compute", "12", "6")[1]
     path = tmp_cache / "complex-n12-l6-v1.json"
     entry = json.loads(path.read_bytes())
-    damage(entry["payload"])
+    damage(entry)
     path.write_text(json.dumps(entry))
 
     code, out, err = run_cli(capsys, "compute", "12", "6", *flags)
     assert code == 0, err
     assert out == reference
-    payload = json.loads(path.read_bytes())["payload"]  # rewritten
-    printed = json.loads(reference)
-    assert payload["complex"] == {key: printed[key] for key in cli.COMPLEX_KEYS}
-    assert list(payload) == ["complex"]
+    assert path.read_text() + "\n" == plain  # rewritten
+
+
+def test_inclusion_comparable_cached_facets_are_a_miss(capsys, tmp_cache):
+    # every flag reads the cached facets through one complex, so a plain hit
+    # refuses what --arrangement would refuse
+    reference = run_cli(capsys, "compute", "6", "3", "--no-cache")[1]
+    path = tmp_cache / "complex-n6-l3-v1.json"
+    for flags in ([], ["--arrangement"], ["--oracle"]):
+        run_cli(capsys, "compute", "6", "3")
+        path.write_text(json.dumps(dict(json.loads(reference), facets=[[1], [1, 2]])))
+        code, out, err = run_cli(capsys, "compute", "6", "3", *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["facets"] == [[1, 3, 5]]
+        assert path.read_text() + "\n" == reference
 
 
 @pytest.mark.parametrize(
     "poset",
     [
-        None,  # the poset of Δ_{12,6}, as older versions stored it
+        None,  # the --arrangement output of Δ_{12,6}, poset and char_poly included
         {"char_poly": "bogus"},
         {"elements": [{"bogus": True}], "hasse": [[0, 99]]},
     ],
@@ -318,15 +405,15 @@ def test_misshapen_cache_payload_is_a_miss(capsys, tmp_cache, damage, flags):
 def test_cached_poset_is_a_miss(capsys, tmp_cache, poset, flags):
     code, reference, _ = run_cli(capsys, "compute", "12", "6", "--no-cache", *flags)
     assert code == 0
-    run_cli(capsys, "compute", "12", "6")
+    plain = run_cli(capsys, "compute", "12", "6")[1]
+    arranged = json.loads(run_cli(capsys, "compute", "12", "6", "--no-cache", "--arrangement")[1])
     path = tmp_cache / "complex-n12-l6-v1.json"
-    entry = json.loads(path.read_bytes())
-    good = arr.build_poset(build_complex(ZsfParams(12, 6))).to_json()
-    entry["payload"]["poset"] = good if poset is None else dict(good, **poset)
-    path.write_text(json.dumps(entry))
+    if poset is not None:
+        arranged["poset"] = dict(arranged["poset"], **poset)
+    path.write_text(json.dumps(arranged))
 
     assert run_cli(capsys, "compute", "12", "6", *flags) == (0, reference, "")
-    assert list(json.loads(path.read_bytes())["payload"]) == ["complex"]  # rewritten
+    assert path.read_text() + "\n" == plain  # rewritten
 
 
 def test_unwritable_cache_warns_and_computes(capsys, tmp_cache):
@@ -413,8 +500,7 @@ def test_family_capacity(capsys, monkeypatch):
 
     monkeypatch.setattr(fam, "build_complex", no_build)
     code, out, err = run_cli(capsys, "family", "doubling", "--rho", "31", "--m", "0", "--oracle")
-    assert code == 4 and "capacity exceeded" in err
-    assert out == ""
+    assert (code, out, err) == (4, "", "capacity exceeded: brute_force_complex supports n ≤ 24, got 62\n")
 
 
 def test_family_capacity_past_the_digit_limit(capsys):
@@ -673,6 +759,30 @@ def test_module_invocation_subprocess(capsys, tmp_path):
         assert proc.returncode == 0, proc.stderr
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and proc.stdout == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "12", "6", "--no-cache"],  # 721 bytes: the flush in `main` fails
+        ["compute", "16", "2", "--no-cache"],  # 10,540 bytes: `print` itself fails
+    ],
+)
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, ZSF_CACHE_DIR=str(tmp_path / "cache"), PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a plain shell
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zsumfree.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_console_script_installed(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 import zsumfree.arrangements as arrangements
 from zsumfree.complexes import CapacityError
+from zsumfree.conjectures import scan_connectivity, scan_log_concavity
 from zsumfree.families import (
     FamilySpec,
     arms_legs_facets,
@@ -61,6 +62,25 @@ def test_spec_validation():
     ]:
         with pytest.raises(ValueError):
             bad()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FamilySpec.doubling(True, 0),
+        lambda: FamilySpec.doubling("3", 0),
+        lambda: FamilySpec.prime_power(3, 2.0),
+        lambda: FamilySpec.arms_legs(5, True),
+        lambda: scan_connectivity("5"),
+        lambda: scan_connectivity(2.5),
+        lambda: scan_log_concavity(None),
+    ],
+    ids=["doubling-bool-rho", "doubling-str-rho", "prime-power-float-e", "arms-legs-bool-s",
+         "connectivity-str", "connectivity-float", "log-concavity-none"],
+)
+def test_library_arguments_must_be_ints(call):
+    with pytest.raises(ValueError, match="must be an int"):
+        call()
 
 
 def test_spec_capacity():
