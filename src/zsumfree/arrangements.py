@@ -11,9 +11,30 @@ taken from the minimum; the characteristic polynomial is
 A single facet necessarily spans all supported vertices, so its subspace
 coincides with the ambient space; it is kept as a formally distinct element,
 which makes χ identically zero.  Such arrangements are flagged degenerate.
+
+The poset is built on bitsets over its elements, bit i for element i:
+
+* the holders of vertex v are the elements whose support holds v (the
+  ambient element 0 holds every vertex), so the elements at or below j are
+  the AND of the holders of j's vertices;
+* the elements are numbered by descending support size, a linear extension,
+  so Möbius values are found in index order, and the elements holding each
+  value seen so far make one bitset: μ(j) is minus the sum, over the values,
+  of value times the count of j's lower elements that hold it;
+* the highest element left in j's lower set is a lower cover of j: whatever
+  lies strictly between it and j has a higher index and either was taken as
+  a cover or lies below one, and taking a cover k removes k and everything
+  below k, so what is left is exactly the covers not yet taken;
+* the poset is graded iff every maximal chain from 0̂ has one length: with
+  the shortest and the longest saturated chain from 0̂ to each element,
+  taken over its lower covers, that is the shortest over the maximal
+  elements equal to the longest, and that length is the rank.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import and_, or_
 
 from .complexes import (
     CapacityError,
@@ -21,6 +42,7 @@ from .complexes import (
     _vertices_of,
     decompose_disjoint_simplices,
 )
+from .zerosumfree import check_ints
 
 POSET_ELEMENT_CAP = 600
 
@@ -29,18 +51,24 @@ class IntersectionPoset:
     """Intersection poset of the coordinate arrangement of a complex's facets.
 
     Element 0 is the ambient space; the remaining elements are intersection
-    supports sorted by descending size, ties broken by vertex order.
+    supports sorted by descending size, ties broken by vertex order.  The
+    build keeps, as bitsets over the elements, the holders of each vertex
+    and the elements of each Möbius value; it peels each element's lower
+    covers off its lower set from the top, and reads the grading from the
+    shortest and longest chains below each element (see the module
+    docstring).
     """
 
     def __init__(self, c: SimplicialComplex):
+        if not isinstance(c, SimplicialComplex):
+            raise ValueError(f"an intersection poset needs a SimplicialComplex, got {type(c).__name__}")
         facet_masks = c._facet_masks
         if facet_masks == [0]:
             raise ValueError("the void complex has no subspaces to arrange")
-        ambient_mask = 0
-        for m in facet_masks:
-            ambient_mask |= m
-        # closure under intersection, round by round; a new intersection
-        # needs an operand that is new in the previous round
+        ambient_mask = reduce(or_, facet_masks)
+        # closure under intersection, round by round: a support meets every
+        # facet in the round after it is first found, so every intersection
+        # of facets is reached one facet at a time
         supports = set(facet_masks)
         fresh = supports
         while fresh:
@@ -48,34 +76,52 @@ class IntersectionPoset:
                 raise CapacityError(
                     f"intersection closure exceeds {POSET_ELEMENT_CAP} subspaces"
                 )
-            fresh = {a & b for a in fresh for b in supports} - supports
+            fresh = {a & f for a in fresh for f in facet_masks} - supports
             supports |= fresh
-        ordered = sorted(supports, key=lambda m: (-m.bit_count(), _vertices_of(m)))
+        # descending size, then ascending vertex tuple (see `_sorted_sets`)
+        ordered = sorted(supports, key=lambda m: (m.bit_count(), bin(m)[:1:-1]), reverse=True)
 
         self.n_vertices = ambient_mask.bit_count()
         self.support_masks = ordered           # element i+1 has support ordered[i]
         self.degenerate = len(facet_masks) == 1
 
-        # the order as one bitmask per element: bit i of below[j] is set iff
-        # element i lies strictly below element j.  The ambient element 0 lies
-        # below everything; a support lies below its proper subsets, which
-        # come later in the descending-size order, so only i < j is checked.
+        # holders[v] has bit i set iff element i's support holds vertex v (the
+        # ambient element 0 holds them all)
         size = len(ordered) + 1
-        below = [0] * size
-        above = [0] * size
-        mob = [0] * size
-        mob[0] = 1
+        vertices = list(map(_vertices_of, ordered))
+        holders = [1] * ambient_mask.bit_length()
+        for i, vs in enumerate(vertices, 1):
+            for v in vs:
+                holders[v] |= 1 << i
+
+        everyone = (1 << size) - 1
+        below = [0] * size      # bit i of below[j] is set iff i lies strictly below j
+        mob = [1] + [0] * (size - 1)
+        classes = {1: 1}        # Möbius value -> the elements holding it so far
+        covers = []
+        shortest = [0] * size   # shortest and longest saturated chain from 0̂
+        longest = [0] * size
         for j in range(1, size):
-            b = ordered[j - 1]
-            lower = [0] + [i for i in range(1, j) if ordered[i - 1] & b == b]
-            mask = 0
-            for i in lower:
-                mask |= 1 << i
-                above[i] |= 1 << j
-            below[j] = mask
-            # Möbius values from the minimum, in linear-extension order
-            mob[j] = -sum(mob[i] for i in lower)
+            bit = 1 << j
+            lower = reduce(and_, map(holders.__getitem__, vertices[j - 1]), everyone) ^ bit
+            below[j] = lower
+            m = -sum(value * (lower & members).bit_count() for value, members in classes.items())
+            mob[j] = m
+            classes[m] = classes.get(m, 0) | bit
+            low, high = size, 0
+            while lower:
+                k = lower.bit_length() - 1
+                covers.append((k, j))
+                if shortest[k] < low:
+                    low = shortest[k]
+                if longest[k] > high:
+                    high = longest[k]
+                lower &= ~(below[k] | 1 << k)
+            shortest[j] = low + 1
+            longest[j] = high + 1
         self.mobius = mob
+        covers.sort()
+        self.covers = covers
 
         coeffs = [0] * (self.n_vertices + 1)
         coeffs[self.n_vertices] += mob[0]
@@ -83,27 +129,11 @@ class IntersectionPoset:
             coeffs[ordered[j - 1].bit_count()] += mob[j]
         self.char_poly = coeffs
 
-        # i ⋖ j iff nothing lies both above i and below j; walking i and then
-        # j upwards lists the covers sorted and each element's upper covers
-        covers = []
-        ups = [[] for _ in range(size)]
-        for i in range(size):
-            up = above[i]
-            while up:
-                low = up & -up
-                up ^= low
-                j = low.bit_length() - 1
-                if above[i] & below[j] == 0:
-                    covers.append((i, j))
-                    ups[i].append(j)
-        self.covers = covers
-
-        # lengths of the maximal chains from each element, upper covers first
-        lengths: list[set[int]] = [set()] * size
-        for i in range(size - 1, -1, -1):
-            lengths[i] = {1 + d for j in ups[i] for d in lengths[j]} if ups[i] else {0}
-        self.graded = len(lengths[0]) == 1
-        self.rank = next(iter(lengths[0])) if self.graded else None
+        has_upper = reduce(or_, below)
+        maximal = [i for i in range(size) if not has_upper >> i & 1]
+        rank = min(map(shortest.__getitem__, maximal))
+        self.graded = rank == max(map(longest.__getitem__, maximal))
+        self.rank = rank if self.graded else None
 
     def element_support(self, index: int):
         """Support of element `index` as a sorted tuple, or None for the ambient space."""
@@ -138,8 +168,14 @@ def build_poset(c: SimplicialComplex) -> IntersectionPoset:
 
 
 def disjoint_union_char_poly(n_vertices: int, parts) -> list[int]:
-    """Closed form x^|V| - Σ_i x^{λ_i} + (α - 1) for a disjoint union of simplices."""
+    """Closed form x^|V| - Σ_i x^{λ_i} + (α - 1) for a disjoint union of simplices.
+
+    The parts λ_i are the facet sizes: ints ≥ 1 that sum to |V| = `n_vertices`;
+    anything else raises ValueError."""
     parts = tuple(parts)
+    check_ints(n_vertices=n_vertices, **{f"part {i}": p for i, p in enumerate(parts)})
+    if min(parts, default=1) < 1 or sum(parts) != n_vertices:
+        raise ValueError(f"parts must be ints ≥ 1 summing to {n_vertices}, got {parts}")
     coeffs = [0] * (n_vertices + 1)
     coeffs[n_vertices] += 1
     for p in parts:

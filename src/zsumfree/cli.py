@@ -37,7 +37,7 @@ import json
 import os
 import sys
 import tempfile
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -79,12 +79,29 @@ EXIT_BROKEN_PIPE = 141
 
 def _dump(obj) -> str:
     """The text of `json.dumps(obj, indent=2, sort_keys=True)`, built with one
-    join per container: CPython's C encoder does not do indented output."""
+    join per container: CPython's C encoder does not do indented output.
+
+    A list whose items are all non-empty lists of exact ints (facets,
+    minimal non-faces, Hasse pairs) is written as rows, with one join over
+    all of them and no call per row; one C-level pass over the types of the
+    rows and of their items decides it, so a row holding a bool or a float,
+    a tuple row or an empty row takes the general path."""
     return _encode(obj, "\n")
 
 
 def _encode(obj, newline: str) -> str:
     # keys must be strings; floats and int subclasses go through json.dumps
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        list_rows = set(map(type, obj)) == {list} and all(obj)
+        if list_rows and set(map(type, chain.from_iterable(obj))) == {int}:
+            deep = inner + "  "
+            text = (inner + "]," + inner + "[" + deep).join(map(("," + deep).join, map(map, repeat(str), obj)))
+            return "[" + inner + "[" + deep + text + inner + "]" + newline + "]"
+        items = [str(x) if type(x) is int else _encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -95,12 +112,6 @@ def _encode(obj, newline: str) -> str:
         return "false"
     if type(obj) is int:
         return str(obj)
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [str(x) if type(x) is int else _encode(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

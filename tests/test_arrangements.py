@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 import zsumfree.arrangements as arr
-from conftest import corpus_complexes
+from conftest import corpus_complexes, hand_fixtures
 from zsumfree.arrangements import (
     IntersectionPoset,
     build_poset,
     disjoint_union_char_poly,
     verify_disjoint_union_char_poly,
 )
-from zsumfree.complexes import CapacityError, SimplicialComplex, decompose_disjoint_simplices
+from zsumfree.complexes import (
+    CapacityError,
+    SimplicialComplex,
+    decompose_disjoint_simplices,
+    faces_by_dimension,
+)
 from zsumfree.zerosumfree import ZsfParams, build_complex
 
 
@@ -60,6 +67,12 @@ def test_arms_and_odd_facet_poset_structure():
 def test_void_complex_is_rejected():
     with pytest.raises(ValueError):
         build_poset(SimplicialComplex([0, 1], [fs()]))
+
+
+def test_poset_of_a_non_complex_is_rejected():
+    for bad in (42, None, [fs(1, 2)]):
+        with pytest.raises(ValueError):
+            build_poset(bad)
 
 
 def test_closure_capacity_cap(monkeypatch):
@@ -142,6 +155,50 @@ def test_disjoint_union_char_poly_closed_form():
     assert disjoint_union_char_poly(9, (6, 3)) == [1, 0, 0, -1, 0, 0, -1, 0, 0, 1]
 
 
+@pytest.mark.parametrize(
+    "n_vertices, parts",
+    [
+        (3, (-1,)),      # a part below 1 would cancel x^3
+        (3, (5,)),       # parts past |V|
+        (-1, ()),
+        (3, (1.5,)),     # a float part
+        (True, (1,)),    # a bool is no int
+        (3, (True, 2)),
+        (3, (0, 3)),
+        (6, (3, 2)),     # parts short of |V|
+    ],
+)
+def test_disjoint_union_char_poly_refuses_bad_arguments(n_vertices, parts):
+    with pytest.raises(ValueError):
+        disjoint_union_char_poly(n_vertices, parts)
+
+
+def f_vector_char_poly(c) -> list[int]:
+    """χ(x) = x^|V| - Σ_k f_k (x-1)^k, with f_k the number of faces with k
+    vertices and V the supported vertices (the crosscut theorem)."""
+    size = len(c.supported_vertices())
+    coeffs = [0] * (size + 1)
+    coeffs[size] = 1
+    for k, count in enumerate(faces_by_dimension(c)):
+        for i in range(k + 1):
+            coeffs[i] -= count * comb(k, i) * (-1) ** (k - i)
+    return coeffs
+
+
+def test_char_poly_matches_the_f_vector():
+    complexes = [build_complex(ZsfParams(n, ell)) for n in range(2, 17) for ell in range(1, n)]
+    complexes += [c for c in hand_fixtures() if c.dim() >= 0]
+    built = 0
+    for c in complexes:
+        try:
+            p = build_poset(c)
+        except CapacityError:
+            continue
+        built += 1
+        assert p.char_poly == f_vector_char_poly(c), c
+    assert built == 115 + len(hand_fixtures()) - 1
+
+
 def test_equal_size_parts_closed_form():
     # α facets of equal size δ+1: x^{α(δ+1)} - α x^{δ+1} + (α-1)
     for alpha in range(2, 6):
@@ -165,10 +222,31 @@ def test_rank_examples():
     assert (p.graded, p.rank) == (True, 3)
 
 
+NON_GRADED = SimplicialComplex(range(1, 7), [fs(1, 2, 3), fs(3, 4), fs(5, 6)])
+
+
 def test_non_graded_fixture():
-    c = SimplicialComplex(range(1, 7), [fs(1, 2, 3), fs(3, 4), fs(5, 6)])
-    p = build_poset(c)
+    p = build_poset(NON_GRADED)
     assert (p.graded, p.rank) == (False, None)
+
+
+def test_grading_from_every_maximal_chain():
+    """Graded means every maximal chain from element 0 has one length, the rank."""
+    for c in poset_corpus() + [NON_GRADED]:
+        p = build_poset(c)
+        ups = [[] for _ in p.mobius]
+        for i, j in p.covers:
+            ups[i].append(j)
+        lengths = set()
+        stack = [(0, 0)]
+        while stack:
+            i, length = stack.pop()
+            if ups[i]:
+                stack += [(j, length + 1) for j in ups[i]]
+            else:
+                lengths.add(length)
+        graded = len(lengths) == 1
+        assert (p.graded, p.rank) == (graded, min(lengths) if graded else None), c
 
 
 def test_disjoint_union_posets_have_rank_two():
@@ -196,16 +274,23 @@ def test_poset_json_schema_and_determinism():
 
 
 def test_hasse_edges_are_covers():
+    """i ⋖ j iff i < j and no k has i < k < j: with the elements above i and
+    the elements below j as bitsets from `strictly_below`, iff they are
+    disjoint.  Quadratic, so it runs on every corpus poset."""
     for c in poset_corpus():
         p = build_poset(c)
         size = len(p.mobius)
-        if size > 60:  # the cubic reference below stays fast
-            continue
-        lt = [[strictly_below(p, i, j) for j in range(size)] for i in range(size)]
-        expected = sorted(
+        above = [0] * size
+        below = [0] * size
+        for i in range(size):
+            for j in range(size):
+                if strictly_below(p, i, j):
+                    above[i] |= 1 << j
+                    below[j] |= 1 << i
+        expected = [
             (i, j)
             for i in range(size)
             for j in range(size)
-            if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(size))
-        )
+            if above[i] >> j & 1 and not above[i] & below[j]
+        ]
         assert [tuple(e) for e in p.to_json()["hasse"]] == expected, c.facets

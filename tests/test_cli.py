@@ -702,6 +702,9 @@ def test_dump_matches_json_dumps(capsys, monkeypatch):
         True, False, None, [True, False, None], -7, [0, -1, 2**70], 1.5, [-0.25, 1e300],
         'say "hi" \\ Möbius ∅\n\t', {"ö": 'a"b', "a\\": -3, "": None},
         (1, (2, 3)), [[1, 2], [3]],
+        # lists of int rows take the writer's row path; the rest must not
+        [[], [1]], [[True]], [[1], [2.5]], [(1, 2), (3,)], [[1, 2**70], [-3]],
+        [[1], "a"], {"a": [[0]], "b": [[]]},
     ]
     for obj in seen:
         assert dump(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
