@@ -42,7 +42,7 @@ from .complexes import (
     _vertices_of,
     decompose_disjoint_simplices,
 )
-from .zerosumfree import check_ints
+from .partitions import check_ints
 
 POSET_ELEMENT_CAP = 600
 

@@ -280,12 +280,7 @@ def _family_spec(args) -> FamilySpec:
 
 def cmd_family(args) -> int:
     spec = _family_spec(args)
-    oracle = None
-    if args.oracle:
-        oracle = True
-    elif args.no_oracle:
-        oracle = False
-    report = verify_family(spec, oracle=oracle)
+    report = verify_family(spec, oracle=args.oracle)
     print(_dump(report))
     if not family_report_ok(spec, report):
         print("family verification found an unexpected mismatch", file=sys.stderr)
@@ -390,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int)
     p.add_argument("--s", type=int)
     oracle = p.add_mutually_exclusive_group()
-    oracle.add_argument("--oracle", action="store_true", help="force the brute-force cross-check")
-    oracle.add_argument("--no-oracle", action="store_true", help="skip the brute-force cross-check")
+    oracle.add_argument("--oracle", action="store_const", const=True, help="force the brute-force cross-check")
+    oracle.add_argument("--no-oracle", dest="oracle", action="store_const", const=False,
+                        help="skip the brute-force cross-check")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("scan", help="run a conjecture scanner")

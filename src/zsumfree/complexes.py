@@ -88,14 +88,11 @@ class SimplicialComplex:
 
     def __init__(self, ground, facets):
         ground = frozenset(ground)
-        _check_vertices(ground)
-        if any(v < 0 or v > 63 for v in ground):
-            raise ValueError("vertices must be integers in 0..63")
         facets = [frozenset(f) for f in facets]
-        _check_vertices(chain.from_iterable(facets))
-        for f in facets:
-            if not f <= ground:
-                raise ValueError(f"facet {sorted(f)} is not a subset of the ground set")
+        vertices = [*ground, *chain.from_iterable(facets)]
+        _check_vertices(vertices)
+        if vertices and not 0 <= min(vertices) <= max(vertices) <= 63:
+            raise ValueError("vertices must be integers in 0..63")
         self._store(_mask_of(ground), [_mask_of(f) for f in facets])
 
     @classmethod
@@ -280,13 +277,7 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
             if t & e:
                 nxt.append(t)
             else:
-                v = 0
-                rest = e
-                while rest:
-                    if rest & 1:
-                        nxt.append(t | (1 << v))
-                    rest >>= 1
-                    v += 1
+                nxt.extend(t | 1 << v for v in _vertices_of(e))
         trans = _minimal_masks(nxt)
     return trans
 

@@ -26,15 +26,14 @@ from dataclasses import asdict, dataclass, field
 from .complexes import (
     CapacityError,
     f_to_h,
-    faces_by_dimension,
     h_vector_disjoint_simplices,
     is_connected,
     is_pure,
     isolated_vertices,
 )
 from .families import is_prime
-from .partitions import enumerate_partitions
-from .zerosumfree import ZsfParams, build_complex, check_ints
+from .partitions import check_ints, enumerate_partitions
+from .zerosumfree import ZsfParams, _f_vector, build_complex, minimal_nonfaces
 
 N_MAX_CAP = 24  # the sweep limit on n for `table` and the scans (isolated: n = 2p)
 MAX_SUM_CAP = 40  # log-concavity: 8,696 partitions with distinct parts, 215,307 in all
@@ -116,8 +115,9 @@ def scan_hvector_purity(n_max: int) -> ScanReport:
     """Check that nonnegative h_1..h_d forces purity, for all (n,ℓ) with n ≤ n_max."""
 
     def check(params):
-        c = build_complex(ZsfParams(**params))
-        h = f_to_h(faces_by_dimension(c))
+        p = ZsfParams(**params)
+        c = build_complex(p)
+        h = f_to_h(_f_vector(p, minimal_nonfaces(p), c))
         if all(x >= 0 for x in h[1:]) and not is_pure(c):
             yield {"params": params, "witness": {"h_vector": h, "pure": False}}
 

@@ -21,7 +21,8 @@ to be off (miscounted facets or dropped constants) are frozen in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 from .arrangements import build_poset, disjoint_union_char_poly
 from .complexes import (
@@ -31,13 +32,13 @@ from .complexes import (
     is_connected,
     is_pure,
 )
+from .partitions import check_ints
 from .zerosumfree import (
     BRUTE_FORCE_CAP,
     BUILD_CAP,
     ZsfParams,
     brute_force_complex,
     build_complex,
-    check_ints,
     check_oracle_capacity,
 )
 
@@ -131,10 +132,7 @@ class FamilySpec:
         return 2 * self.p - self.s
 
     def to_json(self) -> dict:
-        fields = {"rho": self.rho, "m": self.m, "p": self.p, "e": self.e, "s": self.s}
-        out = {"kind": self.kind}
-        out.update({k: v for k, v in fields.items() if v is not None})
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def doubling_facets(rho: int, m: int) -> SimplicialComplex:
@@ -263,20 +261,14 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
     oracle_match = None
     if oracle:
         oracle_match = brute_force_complex(params) == computed
-        notes.append(
-            "brute-force oracle agrees with the pipeline"
-            if oracle_match
-            else "brute-force oracle DISAGREES with the pipeline"
-        )
+        agreement = "agrees with" if oracle_match else "DISAGREES with"
+        notes.append(f"brute-force oracle {agreement} the pipeline")
 
     decomposition = decompose_disjoint_simplices(computed)
     poset = build_poset(computed)
     claimed = closed_form_char_poly(spec)
     actual = list(poset.char_poly)
-    width = max(len(claimed), len(actual))
-    padded_claim = claimed + [0] * (width - len(claimed))
-    padded_actual = actual + [0] * (width - len(actual))
-    discrepancies = tuple(d for d in range(width) if padded_actual[d] != padded_claim[d])
+    discrepancies = [d for d, (a, b) in enumerate(zip_longest(actual, claimed, fillvalue=0)) if a != b]
 
     disjoint_ok = None
     if decomposition:
@@ -308,7 +300,7 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
         "rank": poset.rank,
         "char_poly": actual,
         "char_poly_closed_form": claimed,
-        "char_poly_discrepancies": list(discrepancies),
+        "char_poly_discrepancies": discrepancies,
         "disjoint_union_formula_ok": disjoint_ok,
         "notes": notes,
     }

@@ -9,9 +9,17 @@ from __future__ import annotations
 from math import comb
 
 
+def check_ints(**values) -> None:
+    """Raise ValueError unless every value is an int; a bool or an IntEnum is not one."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def check_partition(parts) -> tuple[int, ...]:
-    """Validate and canonicalize a partition given as an iterable of ints."""
-    parts = tuple(int(p) for p in parts)
+    """Validate a partition given as an iterable of ints; return it as a tuple."""
+    parts = tuple(parts)
+    check_ints(**{f"part {i}": p for i, p in enumerate(parts)})
     if any(p <= 0 for p in parts):
         raise ValueError(f"partition parts must be positive: {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -25,6 +33,7 @@ def enumerate_partitions(total: int, max_parts: int, max_part: int) -> list[tupl
     Results are in lexicographically decreasing order; `total == 0` yields the
     single empty partition.
     """
+    check_ints(total=total, max_parts=max_parts, max_part=max_part)
     if total < 0 or max_parts < 0 or max_part < 0:
         raise ValueError("enumerate_partitions arguments must be nonnegative")
     out: list[tuple[int, ...]] = []
@@ -51,6 +60,7 @@ def count_partitions(total: int, max_parts: int, max_part: int) -> int:
     Memoized recurrence, independent of the enumerator: either no part equals
     the cap (lower the cap) or one does (remove it and spend a slot).
     """
+    check_ints(total=total, max_parts=max_parts, max_part=max_part)
     if total < 0 or max_parts < 0 or max_part < 0:
         raise ValueError("count_partitions arguments must be nonnegative")
     memo: dict[tuple[int, int, int], int] = {}

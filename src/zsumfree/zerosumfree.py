@@ -25,23 +25,15 @@ from .complexes import (
     CapacityError,
     SimplicialComplex,
     _check_vertices,
-    _mask_of,
     _sorted_sets,
     _vertices_of,
     faces_by_dimension,
 )
-from .partitions import binomial, enumerate_partitions
+from .partitions import binomial, check_ints, enumerate_partitions
 
 BUILD_CAP = 64
 BRUTE_FORCE_CAP = 24
 FACET_COUNT_CAP = 4096
-
-
-def check_ints(**values) -> None:
-    """Raise ValueError unless every value is an int; a bool is not one."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def check_oracle_capacity(n: int) -> None:
@@ -248,11 +240,12 @@ def minimal_nonfaces(params: ZsfParams) -> list[int]:
     return _sorted_sets(masks)
 
 
-def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> list[int]:
-    """Maximal subsets of `supported` containing none of the `edges`.
+def _maximal_nonface_free(n: int, mnf: list[int]) -> list[int]:
+    """Maximal subsets of 0..n-1 holding none of the minimal non-faces `mnf`.
 
-    Multiplying by a unit u of Z/n permutes the supported vertices and the
-    edges (the minimal non-faces), so it permutes the facets too.  The search
+    A vertex is supported unless it is a non-face ({0} always is); the edges
+    are the other non-faces.  Multiplying by a unit u of Z/n permutes the
+    supported vertices and the edges, so it permutes the facets too.  The search
     is an orderly generation over the (Z/n)^× orbits, like the walk in
     `minimal_nonfaces`: a depth-first search over canonical faces (bit mask
     the largest in its orbit) that adds vertices in descending order, each
@@ -301,11 +294,14 @@ def _maximal_nonface_free(n: int, supported: list[int], edges: list[int]) -> lis
     """
     full = (1 << n) - 1
     img, self_bits, guards, offsets = _unit_table(n)
-    edges_at: dict[int, list[int]] = {v: [] for v in supported}
-    for e in edges:
-        for v in _vertices_of(e):
-            edges_at[v].append(e)
-    support = _mask_of(supported)
+    support = full
+    edges_at: list[list[int]] = [[] for _ in range(n)]
+    for e in mnf:
+        if e & (e - 1):
+            for v in _vertices_of(e):
+                edges_at[v].append(e)
+        else:
+            support &= ~e
     found: set[int] = set()
 
     def completes(u: int, horizon: int) -> bool:
@@ -362,12 +358,7 @@ def build_complex(params: ZsfParams) -> SimplicialComplex:
     n = params.n
     if n > BUILD_CAP:
         raise CapacityError(f"build_complex supports n ≤ {BUILD_CAP}, got {n}")
-    mnf = minimal_nonfaces(params)
-    killed = reduce(or_, [m for m in mnf if not m & (m - 1)])
-    supported = [v for v in range(1, n) if not killed >> v & 1]
-    edges = [m for m in mnf if m & (m - 1)]
-    facets = _maximal_nonface_free(n, supported, edges)
-    return SimplicialComplex.from_masks((1 << n) - 1, facets)
+    return SimplicialComplex.from_masks((1 << n) - 1, _maximal_nonface_free(n, minimal_nonfaces(params)))
 
 
 def _f_vector(params: ZsfParams, mnf: list[int], c: SimplicialComplex | None) -> list[int]:

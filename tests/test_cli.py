@@ -427,6 +427,20 @@ def test_unwritable_cache_warns_and_computes(capsys, tmp_cache):
     assert err.startswith("warning: cache entry not written") and err.count("\n") == 1
 
 
+def test_failed_rename_warns_and_leaves_no_temporary_file(capsys, tmp_cache, monkeypatch):
+    code, reference, _ = run_cli(capsys, "compute", "6", "3", "--no-cache")
+    assert code == 0
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, out, err = run_cli(capsys, "compute", "6", "3")
+    assert (code, out) == (0, reference)
+    assert err.startswith("warning: cache entry not written: ") and err.count("\n") == 1
+    assert tmp_cache.is_dir() and list(tmp_cache.iterdir()) == []
+
+
 def test_cache_clear(capsys, tmp_cache):
     run_cli(capsys, "compute", "6", "3")
     run_cli(capsys, "compute", "9", "8")
@@ -628,6 +642,29 @@ def test_scan_counterexample_exit(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "scan", "isolated", "--p-max", "3")
     assert code == 5
     assert json.loads(out)["status"] == "counterexample-found"
+
+
+@pytest.mark.parametrize(
+    "conjecture, flag, default",
+    [
+        ("isolated", "p_max", 11),
+        ("purity-prime", "n_max", 19),
+        ("hvec-purity", "n_max", 19),
+        ("connectivity", "n_max", 19),
+        ("log-concavity", "max_sum", 30),
+    ],
+)
+def test_scan_without_a_range_flag_takes_the_default(capsys, monkeypatch, conjecture, flag, default):
+    seen = []
+
+    def record(value):
+        seen.append(value)
+        return ScanReport(conjecture, {flag: value}, 0)
+
+    monkeypatch.setitem(cli.SCANNERS, conjecture, (record, flag))
+    code, out, err = run_cli(capsys, "scan", conjecture)
+    assert (code, err, seen) == (0, "", [default])
+    assert json.loads(out)["range"] == {flag: default}
 
 
 def test_scan_unknown_conjecture_is_a_usage_error(capsys):

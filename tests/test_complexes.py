@@ -91,6 +91,21 @@ def test_facet_masks_follow_the_facet_order():
         assert list(c.facets) == sorted(c.facets, key=sorted)
 
 
+@pytest.mark.parametrize(
+    "ground, facets, message",
+    [
+        ([1, 2], [fs(70)], "vertices must be integers in 0..63"),  # outside 0..63 and the ground set
+        ([1, 2], [fs(-1)], "vertices must be integers in 0..63"),
+        (range(64), [fs(64)], "vertices must be integers in 0..63"),
+        ([70], [fs(1.5)], "vertices must be ints, got float"),     # the type fault comes first
+    ],
+)
+def test_constructor_messages(ground, facets, message):
+    with pytest.raises(ValueError) as exc:
+        SimplicialComplex(ground, facets)
+    assert str(exc.value) == message
+
+
 def test_constructor_validation():
     for bad_call in [
         lambda: SimplicialComplex([1, 2], [fs(3)]),          # facet outside ground
@@ -125,6 +140,21 @@ def count_by_size(faces) -> list[int]:
     for s in faces:
         counts[len(s)] += 1
     return counts
+
+
+@pytest.mark.parametrize(
+    "vector, parts, message",
+    [
+        (h_vector_disjoint_simplices, [2.7, 1], "part 0 must be an int, got 2.7"),
+        (h_vector_disjoint_simplices, [2, True], "part 1 must be an int, got True"),
+        (f_vector_disjoint_simplices, ["3"], "part 0 must be an int, got '3'"),
+        (f_vector_disjoint_simplices, [3.0, 1], "part 0 must be an int, got 3.0"),
+    ],
+)
+def test_disjoint_simplex_vectors_refuse_non_int_parts(vector, parts, message):
+    with pytest.raises(ValueError) as exc:
+        vector(parts)
+    assert str(exc.value) == message
 
 
 def test_faces_by_dimension_examples():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+from enum import IntEnum
+
+import pytest
 
 from zsumfree.partitions import (
     alternating_binomial_sum,
@@ -57,6 +60,39 @@ def test_check_partition_rejects_bad_shapes():
         except ValueError:
             continue
         raise AssertionError(f"accepted {bad}")
+
+
+class Size(IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_partition([2.5]), "part 0 must be an int, got 2.5"),
+        (lambda: check_partition([3, 2.7]), "part 1 must be an int, got 2.7"),
+        (lambda: check_partition(["3"]), "part 0 must be an int, got '3'"),
+        (lambda: check_partition([Size.THREE]), "part 0 must be an int, got <Size.THREE: 3>"),
+        (lambda: conjugate([True]), "part 0 must be an int, got True"),
+        (lambda: enumerate_partitions(True, 2, 2), "total must be an int, got True"),
+        (lambda: enumerate_partitions(4, 2.0, 2), "max_parts must be an int, got 2.0"),
+        (lambda: count_partitions(4.0, 2, 2), "total must be an int, got 4.0"),
+        (lambda: count_partitions("4", 2, 2), "total must be an int, got '4'"),
+        (lambda: count_partitions(4, 2, Size.THREE), "max_part must be an int, got <Size.THREE: 3>"),
+    ],
+)
+def test_partition_arguments_must_be_ints(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fn", [enumerate_partitions, count_partitions])
+@pytest.mark.parametrize("args", [(-1, 2, 2), (4, -1, 2), (4, 2, -1)])
+def test_partition_counters_refuse_negative_arguments(fn, args):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    assert str(exc.value) == f"{fn.__name__} arguments must be nonnegative"
 
 
 def test_enumeration_examples():
