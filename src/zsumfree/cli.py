@@ -20,13 +20,15 @@ before the output was written (128 + SIGPIPE).
 Artifacts are cached under $ZSF_CACHE_DIR (default ~/.cache/zsumfree), one
 file per (n, ℓ) whose name carries the artifact version.  An entry is the
 text `compute n ℓ` prints, without its final newline: a hit that passes the
-checks of `load_cached_payload` prints it as stored, and `--arrangement`
-adds the poset, built on every call and never written.  Bumping the
-artifact version invalidates old entries.  A cache that cannot be read or
-written never fails a command: an unreadable entry is a miss, a failed
-write prints a one-line warning to stderr and leaves stdout and the exit
-code as with --no-cache, and `cache-clear` warns about each entry it cannot
-remove and goes on.
+checks of `load_cached_payload` prints it as stored.  `--arrangement`
+builds the poset on every call, never writes it, and prints the entry's
+text with two keys inserted: "char_poly" right after the opening brace and
+"poset" just before "pure", which keeps the keys of the output sorted.
+Bumping the artifact version invalidates old entries.  A cache that cannot
+be read or written never fails a command: an unreadable entry is a miss, a
+failed write prints a one-line warning to stderr and leaves stdout and the
+exit code as with --no-cache, and `cache-clear` warns about each entry it
+cannot remove and goes on.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .arrangements import build_poset
+from .arrangements import IntersectionPoset, build_poset
 from .complexes import (
     CapacityError,
     SimplicialComplex,
@@ -157,22 +159,24 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def load_cached_payload(n: int, ell: int) -> tuple[str, dict, SimplicialComplex] | None:
-    """The cached entry for (n, ℓ) as (its text, the object it holds, the
-    complex of its facets), or None when the entry is missing or malformed;
-    None means recompute.  The entry is the text `compute n ℓ` prints, so it
-    must hold exactly the keys `_complex_payload` writes: `n` and `ell` the
-    ints asked for, `facets` and `min_nonfaces` lists of lists of ints in
-    0..n-1, `f_vector` and `h_vector` lists of ints, `pure` and `connected`
-    bools and `decomposition` null or a list of ints.  The facets must make
-    a complex that `SimplicialComplex.from_masks` accepts, listed as it
-    lists them: each facet's vertices ascending, the facets in its order."""
+def load_cached_payload(n: int, ell: int) -> tuple[str, SimplicialComplex] | None:
+    """The cached entry for (n, ℓ) as (its text, the complex of its facets),
+    or None when the entry is missing or malformed; None means recompute.
+    The entry is the text `compute n ℓ` prints, so it must hold exactly the
+    keys `_complex_payload` writes: `n` and `ell` the ints asked for,
+    `facets` and `min_nonfaces` lists of lists of ints in 0..n-1, `f_vector`
+    and `h_vector` lists of ints, `pure` and `connected` bools and
+    `decomposition` null or a list of ints.  The facets must make a complex
+    that `SimplicialComplex.from_masks` accepts, listed as it lists them:
+    each facet's vertices ascending, the facets in its order.  The text must
+    hold the literal `"pure"` exactly once: no value is a string, so that
+    literal is the key, and `--arrangement` inserts the poset before it."""
     try:
         text = _cache_path(n, ell).read_text()
         entry = json.loads(text)
     except (OSError, ValueError):
         return None
-    if not isinstance(entry, dict) or entry.keys() != ENTRY_KEYS:
+    if not isinstance(entry, dict) or entry.keys() != ENTRY_KEYS or text.count('"pure"') != 1:
         return None
     if {type(entry["pure"]), type(entry["connected"])} != {bool}:
         return None
@@ -200,7 +204,7 @@ def load_cached_payload(n: int, ell: int) -> tuple[str, dict, SimplicialComplex]
         return None
     if [list(_vertices_of(m)) for m in c._facet_masks] != facets:
         return None
-    return text, entry, c
+    return text, c
 
 
 def store_payload(n: int, ell: int, text: str) -> None:
@@ -228,6 +232,32 @@ def _complex_payload(params: ZsfParams, c: SimplicialComplex) -> dict:
     }
 
 
+def _poset_text(poset: IntersectionPoset) -> str:
+    """The text of `_encode(poset.to_json(), "\n  ")`, the poset's value in
+    the output of `compute --arrangement`, read off the poset's fields.  The
+    element rows are one `%` template, made by one join over the supports,
+    that one `%` fills with the dimensions and Möbius values: no call per
+    element.  Some support is not empty, as the void complex has no poset.
+    The Hasse pairs and χ take `_encode`'s row path."""
+    masks = poset.support_masks
+    empty = masks[-1] == 0  # the empty support is the smallest, so last
+    element = '{\n        "dim": %d,\n        "mobius": %d,\n        "support": '
+    between = "\n      },\n      " + element
+    supports = map(",\n          ".join, map(map, repeat(str), map(_vertices_of, masks[:-1] if empty else masks)))
+    rows = "".join((
+        element, '"ambient"', between, "[\n          ",
+        ("\n        ]" + between + "[\n          ").join(supports), "\n        ]",
+        between + "[]" if empty else "",
+    )) % tuple(chain.from_iterable(zip(chain([poset.n_vertices], map(int.bit_count, masks)), poset.mobius)))
+    return "".join((
+        '{\n    "char_poly": ', _encode(poset.char_poly, "\n    "),
+        ',\n    "elements": [\n      ', rows,
+        '\n      }\n    ],\n    "graded": ', "true" if poset.graded else "false",
+        ',\n    "hasse": ', _encode(list(map(list, poset.covers)), "\n    "),
+        ',\n    "rank": ', "null" if poset.rank is None else str(poset.rank), "\n  }",
+    ))
+
+
 def cmd_compute(args) -> int:
     params = ZsfParams(args.n, args.ell)
     use_cache = not args.no_cache
@@ -237,26 +267,29 @@ def cmd_compute(args) -> int:
 
     entry = load_cached_payload(params.n, params.ell) if use_cache else None
     if entry is not None:
-        text, out, c = entry
+        text, c = entry
     else:
         c = build_complex(params)
-        out = _complex_payload(params, c)
-        text = None
+        text = _dump(_complex_payload(params, c))
         if use_cache:
-            text = _dump(out)
             try:
                 store_payload(params.n, params.ell, text)
             except OSError as exc:
                 print(f"warning: cache entry not written: {exc}", file=sys.stderr)
 
     # the poset and the oracle run before anything is printed, so a capacity
-    # error leaves stdout empty; the poset is never cached
+    # error leaves stdout empty; the poset is never cached.  Its two keys go
+    # into the entry's text: "char_poly" first, "poset" just before "pure"
     if args.arrangement:
-        poset = build_poset(c).to_json()
-        out.update(poset=poset, char_poly=poset["char_poly"])
-        text = None
+        poset = build_poset(c)
+        start = text.index("{") + 1
+        pure = text.index('"pure"')
+        text = "".join((
+            text[:start], '\n  "char_poly": ', _encode(poset.char_poly, "\n  "), ",",
+            text[start:pure], '"poset": ', _poset_text(poset), ",\n  ", text[pure:],
+        ))
     agrees = not args.oracle or brute_force_complex(params) == c
-    print(_dump(out) if text is None else text)
+    print(text)
 
     if not agrees:
         print(f"oracle mismatch for n={params.n} ell={params.ell}", file=sys.stderr)

@@ -87,8 +87,11 @@ class SimplicialComplex:
     """
 
     def __init__(self, ground, facets):
-        ground = frozenset(ground)
-        facets = [frozenset(f) for f in facets]
+        try:
+            ground = frozenset(ground)
+            facets = [frozenset(f) for f in facets]
+        except TypeError as exc:  # not iterable, or a vertex that is unhashable
+            raise ValueError(f"ground and facets must be iterables of vertices: {exc}") from None
         vertices = [*ground, *chain.from_iterable(facets)]
         _check_vertices(vertices)
         if vertices and not 0 <= min(vertices) <= max(vertices) <= 63:

@@ -6,7 +6,9 @@ partition is ``()``.  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
+from operator import sub
 
 
 def check_ints(**values) -> None:
@@ -31,51 +33,53 @@ def enumerate_partitions(total: int, max_parts: int, max_part: int) -> list[tupl
     """All partitions of `total` into at most `max_parts` parts, each at most `max_part`.
 
     Results are in lexicographically decreasing order; `total == 0` yields the
-    single empty partition.
+    single empty partition.  The first is the greedy one (parts of the cap
+    and a remainder); each next one lowers by one the last part that can be
+    lowered with the parts after it refilled greedily within the slots left.
     """
     check_ints(total=total, max_parts=max_parts, max_part=max_part)
     if total < 0 or max_parts < 0 or max_part < 0:
         raise ValueError("enumerate_partitions arguments must be nonnegative")
+    if total > max_parts * max_part:
+        return []
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(remaining: int, slots: int, cap: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if slots == 0 or cap == 0 or remaining > slots * cap:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            extend(remaining - part, slots - 1, part)
-            prefix.pop()
-
-    extend(total, max_parts, max_part)
-    return out
+    parts: list[int] = []
+    rest, cap = total, max_part
+    while True:
+        q, r = divmod(rest, cap or 1)  # the cap is 0 only when nothing is left
+        parts += [cap] * q + [r] * (r > 0)
+        out.append(tuple(parts))
+        rest = 0
+        for i in range(len(parts) - 1, -1, -1):
+            rest += parts[i]
+            cap = parts[i] - 1
+            if rest <= (max_parts - i) * cap:
+                break
+        else:
+            return out
+        del parts[i:]
 
 
 def count_partitions(total: int, max_parts: int, max_part: int) -> int:
     """Number of partitions of `total` into at most `max_parts` parts, each at most `max_part`.
 
-    Memoized recurrence, independent of the enumerator: either no part equals
-    the cap (lower the cap) or one does (remove it and spend a slot).
+    The coefficient of q^total in the Gaussian binomial
+    Π_{i=1}^{k} (1 − q^{m+i}) / (1 − q^i), k and m the slot count and the
+    cap (swapped freely, as conjugation swaps them), by exact power-series
+    arithmetic cut past q^total; independent of the enumerator.  It keeps
+    total + 1 coefficients and makes min(k, m) passes over them.
     """
     check_ints(total=total, max_parts=max_parts, max_part=max_part)
     if total < 0 or max_parts < 0 or max_part < 0:
         raise ValueError("count_partitions arguments must be nonnegative")
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def rec(s: int, slots: int, cap: int) -> int:
-        if s == 0:
-            return 1
-        if slots == 0 or cap == 0 or s > slots * cap:
-            return 0
-        key = (s, slots, cap)
-        if key not in memo:
-            memo[key] = rec(s, slots, cap - 1) + rec(s - cap, slots - 1, cap)
-        return memo[key]
-
-    return rec(total, max_parts, max_part)
+    k, m = sorted((min(max_parts, total), min(max_part, total)))
+    coeffs = [1] + [0] * total
+    for i in range(1, k + 1):
+        d = m + i  # times 1 - q^d, then over 1 - q^i: a prefix sum along each residue mod i
+        coeffs[d:] = map(sub, coeffs[d:], coeffs[: total + 1 - d])
+        for r in range(min(i, total + 1 - i)):  # the residues with two or more terms
+            coeffs[r::i] = accumulate(coeffs[r::i])
+    return coeffs[total]
 
 
 def conjugate(parts) -> tuple[int, ...]:

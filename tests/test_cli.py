@@ -19,6 +19,8 @@ from zsumfree.complexes import SimplicialComplex
 from zsumfree.conjectures import ScanReport
 from zsumfree.zerosumfree import ZsfParams, build_complex
 
+from conftest import corpus_complexes
+
 
 @pytest.fixture(autouse=True)
 def tmp_cache(tmp_path, monkeypatch):
@@ -412,6 +414,87 @@ def test_cached_poset_is_a_miss(capsys, tmp_cache, poset, flags):
         arranged["poset"] = dict(arranged["poset"], **poset)
     path.write_text(json.dumps(arranged))
 
+    assert run_cli(capsys, "compute", "12", "6", *flags) == (0, reference, "")
+    assert path.read_text() + "\n" == plain  # rewritten
+
+
+def _arranged(n, ell):
+    """The `--arrangement` stdout of Δ_{n,ℓ} as `json.dumps` writes it."""
+    params = ZsfParams(n, ell)
+    c = build_complex(params)
+    poset = arr.build_poset(c).to_json()
+    out = {**cli._complex_payload(params, c), "poset": poset, "char_poly": poset["char_poly"]}
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def test_arrangement_output_is_the_dump_of_payload_and_poset(capsys, tmp_cache):
+    for n in range(2, 13):
+        for ell in range(1, n):
+            expected = _arranged(n, ell)
+            argv = ["compute", str(n), str(ell), "--arrangement"]
+            for flags in (["--no-cache"], [], []):  # no cache, a miss, a hit
+                assert run_cli(capsys, *argv, *flags) == (0, expected, ""), (n, ell, flags)
+            assert (tmp_cache / f"complex-n{n}-l{ell}-v1.json").is_file()
+
+
+def test_poset_writer_matches_to_json():
+    seen = set()
+    for c in corpus_complexes():
+        try:
+            poset = arr.build_poset(c)
+        except ValueError:  # the void complex
+            continue
+        text = cli._poset_text(poset)
+        assert "{\n  \"poset\": " + text + "\n}" == json.dumps({"poset": poset.to_json()}, indent=2, sort_keys=True)
+        seen.add((poset.support_masks[-1] == 0, poset.rank is None, poset.degenerate))
+    # an empty support, an ungraded poset and a degenerate one all occur
+    assert {(True, False, False), (False, False, True), (True, True, False)} <= seen
+
+
+def _entry_texts(entry):
+    """Hand edits of a cache entry that keep what it holds."""
+    keys = sorted(entry, reverse=True)  # "pure" first
+    return [
+        json.dumps(entry),
+        json.dumps({k: entry[k] for k in keys}),
+        " \n" + json.dumps(entry, indent=1) + "\n\n",
+        json.dumps(entry, separators=(",", ":")).replace('"n":', '"\\u006e":'),
+    ]
+
+
+@pytest.mark.parametrize("flags", [[], ["--arrangement"], ["--arrangement", "--oracle"]])
+def test_hand_edited_entry_is_a_hit(capsys, tmp_cache, flags):
+    reference = run_cli(capsys, "compute", "12", "2", "--no-cache", *flags)[1]
+    run_cli(capsys, "compute", "12", "2")
+    path = tmp_cache / "complex-n12-l2-v1.json"
+    for text in _entry_texts(json.loads(path.read_text())):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "compute", "12", "2", *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == json.loads(reference)
+        if not flags:
+            assert out == text + "\n"  # printed as stored
+        assert path.read_text() == text  # not rewritten
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace('"pure"', '"pure": null, "pure"'),
+        lambda text: text.replace('"pure"', '"\\u0070ure"'),
+        lambda text: text.replace('"pure"', '"p\\u0075re"'),
+    ],
+    ids=["duplicated-pure", "escaped-pure", "escaped-u-pure"],
+)
+@pytest.mark.parametrize("flags", [[], ["--arrangement"]], ids=["plain", "arrangement"])
+def test_entry_without_one_literal_pure_is_a_miss(capsys, tmp_cache, edit, flags):
+    reference = run_cli(capsys, "compute", "12", "6", "--no-cache", *flags)[1]
+    plain = run_cli(capsys, "compute", "12", "6")[1]
+    path = tmp_cache / "complex-n12-l6-v1.json"
+    edited = edit(path.read_text())
+    assert json.loads(edited) == json.loads(plain)  # the same object, a different text
+    path.write_text(edited)
+    assert cli.load_cached_payload(12, 6) is None
     assert run_cli(capsys, "compute", "12", "6", *flags) == (0, reference, "")
     assert path.read_text() + "\n" == plain  # rewritten
 

@@ -116,7 +116,7 @@ def test_enumeration_matches_brute_force_grid():
         for max_parts in range(0, total + 2):
             for max_part in range(0, total + 2):
                 got = enumerate_partitions(total, max_parts, max_part)
-                assert set(got) == brute_partitions(total, max_parts, max_part), (
+                assert got == sorted(brute_partitions(total, max_parts, max_part), reverse=True), (
                     total, max_parts, max_part,
                 )
 
@@ -142,6 +142,19 @@ def test_enumeration_count_matches_recurrence_on_larger_inputs():
             sum(p) == total and len(p) <= max_parts and (not p or p[0] <= max_part)
             for p in got
         )
+
+
+def test_large_arguments_need_no_recursion():
+    assert enumerate_partitions(1200, 1200, 1) == [(1,) * 1200]
+    assert enumerate_partitions(1200, 1, 1200) == [(1200,)]
+    # p(1500) by the textbook O(n^2) dynamic program over the largest part
+    p = [1] + [0] * 1500
+    for part in range(1, 1501):
+        for s in range(part, 1501):
+            p[s] += p[s - part]
+    assert count_partitions(1500, 1500, 1500) == p[1500]
+    assert count_partitions(1500, 1500, 3000) == p[1500]
+    assert count_partitions(10**6, 2, 10**6) == 500001
 
 
 def test_conjugate_examples_and_involution():
