@@ -25,10 +25,11 @@ The poset is built on bitsets over its elements, bit i for element i:
   lies strictly between it and j has a higher index and either was taken as
   a cover or lies below one, and taking a cover k removes k and everything
   below k, so what is left is exactly the covers not yet taken;
-* the poset is graded iff every maximal chain from 0̂ has one length: with
-  the shortest and the longest saturated chain from 0̂ to each element,
-  taken over its lower covers, that is the shortest over the maximal
-  elements equal to the longest, and that length is the rank.
+* the intersection of all facets lies in every support, so the last
+  element is the poset's only maximal element, the top: the poset is
+  graded iff every maximal chain from 0̂ has one length, that is iff the
+  shortest and the longest saturated chain from 0̂ to the top, taken over
+  lower covers, have one length, and that length is the rank.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from operator import and_, or_
 from .complexes import (
     CapacityError,
     SimplicialComplex,
+    _holders,
     _vertices_of,
     decompose_disjoint_simplices,
 )
@@ -55,8 +57,8 @@ class IntersectionPoset:
     build keeps, as bitsets over the elements, the holders of each vertex
     and the elements of each Möbius value; it peels each element's lower
     covers off its lower set from the top, and reads the grading from the
-    shortest and longest chains below each element (see the module
-    docstring).
+    shortest and longest chains below the last element, the top (see the
+    module docstring).
     """
 
     def __init__(self, c: SimplicialComplex):
@@ -85,14 +87,10 @@ class IntersectionPoset:
         self.support_masks = ordered           # element i+1 has support ordered[i]
         self.degenerate = len(facet_masks) == 1
 
-        # holders[v] has bit i set iff element i's support holds vertex v (the
-        # ambient element 0 holds them all)
-        size = len(ordered) + 1
-        vertices = list(map(_vertices_of, ordered))
-        holders = [1] * ambient_mask.bit_length()
-        for i, vs in enumerate(vertices, 1):
-            for v in vs:
-                holders[v] |= 1 << i
+        # holders[v] has bit i set iff element i's support holds vertex v
+        vertices = [_vertices_of(ambient_mask), *map(_vertices_of, ordered)]
+        holders = _holders(vertices, ambient_mask.bit_length())
+        size = len(vertices)
 
         everyone = (1 << size) - 1
         below = [0] * size      # bit i of below[j] is set iff i lies strictly below j
@@ -103,7 +101,7 @@ class IntersectionPoset:
         longest = [0] * size
         for j in range(1, size):
             bit = 1 << j
-            lower = reduce(and_, map(holders.__getitem__, vertices[j - 1]), everyone) ^ bit
+            lower = reduce(and_, map(holders.__getitem__, vertices[j]), everyone) ^ bit
             below[j] = lower
             m = -sum(value * (lower & members).bit_count() for value, members in classes.items())
             mob[j] = m
@@ -129,10 +127,9 @@ class IntersectionPoset:
             coeffs[ordered[j - 1].bit_count()] += mob[j]
         self.char_poly = coeffs
 
-        has_upper = reduce(or_, below)
-        maximal = [i for i in range(size) if not has_upper >> i & 1]
-        rank = min(map(shortest.__getitem__, maximal))
-        self.graded = rank == max(map(longest.__getitem__, maximal))
+        # the last element, the intersection of all facets, lies above all
+        rank = shortest[-1]
+        self.graded = rank == longest[-1]
         self.rank = rank if self.graded else None
 
     def element_support(self, index: int):

@@ -339,12 +339,6 @@ def cmd_scan(args) -> int:
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
 
 
-def _decomposition_text(parts) -> str:
-    if parts is None:
-        return "-"
-    return "(" + ",".join(str(x) for x in parts) + ")"
-
-
 def table_rows(n_max: int) -> list[str]:
     rows = []
     for n in range(2, n_max + 1):
@@ -354,7 +348,8 @@ def table_rows(n_max: int) -> list[str]:
             conn = "yes" if is_connected(c) else "no"
             count = len(c._facet_masks)
             noun = "facet" if count == 1 else "facets"
-            dec = _decomposition_text(decompose_disjoint_simplices(c))
+            parts = decompose_disjoint_simplices(c)
+            dec = "-" if parts is None else "(" + ",".join(map(str, parts)) + ")"
             rows.append(
                 f"{n} {ell} | {count} {noun} | dim {c.dim()} | pure={pure} | conn={conn} | {dec}"
             )

@@ -57,6 +57,16 @@ def _vertices_of(mask: int) -> tuple[int, ...]:
     return low + t[4][b[4]] + t[5][b[5]] + t[6][b[6]] + t[7][b[7]] if mask >> 32 else low
 
 
+def _holders(vertex_tuples, width: int) -> list[int]:
+    """holders[v] has bit i set when tuple i of `vertex_tuples` holds v, for v < width."""
+    holders = [0] * width
+    for i, vs in enumerate(vertex_tuples):
+        bit = 1 << i
+        for v in vs:
+            holders[v] |= bit
+    return holders
+
+
 def _minimal_masks(masks) -> list[int]:
     """Inclusion-minimal elements of a collection of bit masks."""
     kept: list[int] = []
@@ -120,23 +130,18 @@ class SimplicialComplex:
         masks = sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
         if len(set(masks)) != len(masks):
             raise ValueError("facets must be distinct")
-        # only a facet smaller than the largest can lie in another one
+        # only a facet smaller than the largest can lie in another one; facet
+        # i lies in another exactly when the facets holding all its vertices
+        # are more than i alone
         sizes = list(map(int.bit_count, masks))
         top = max(sizes)
         smaller = [i for i, size in enumerate(sizes) if size < top]
         if smaller:
-            # holders[v] has bit i set when facet i contains v, read off the
-            # columns of the masks' binary strings (each padded to one width
-            # by a top bit, last facet first); facet i lies in another facet
-            # exactly when the facets holding all its vertices are more than
-            # i alone
-            width = ground.bit_length()
-            pad = 1 << width
-            columns = list(zip(*map(bin, map(pad.__or__, reversed(masks)))))
-            holders = [int("".join(columns[2 + width - v]), 2) for v in range(width)]
+            vertices = list(map(_vertices_of, masks))
+            holders = _holders(vertices, ground.bit_length())
             everyone = (1 << len(masks)) - 1
             for i in smaller:
-                if reduce(and_, map(holders.__getitem__, _vertices_of(masks[i])), everyone) != 1 << i:
+                if reduce(and_, map(holders.__getitem__, vertices[i]), everyone) != 1 << i:
                     raise ValueError("facets must be pairwise inclusion-incomparable")
         self._ground_mask = ground
         self._facet_masks = masks
@@ -188,9 +193,10 @@ def faces_by_dimension(c: SimplicialComplex) -> list[int]:
     {a, b} such as Δ_{n,2} then takes O(n) calls, not 2^{n/2}: the deletion
     at a is a cone over b.  A link facet g lies in some facet without v iff
     the facets holding each vertex of g meet; those holders are bitsets over
-    the facets without v, built in one pass over their vertices.
+    the facets without v (`_holders`).
     """
     memo: dict[frozenset, list[int]] = {}
+    width = c._ground_mask.bit_length()
 
     def count(facets: list[int]) -> list[int]:
         key = frozenset(facets)
@@ -204,21 +210,15 @@ def faces_by_dimension(c: SimplicialComplex) -> list[int]:
             bit = pivot & -pivot
             link = [f ^ bit for f in facets if f & bit]
             rest = [f for f in facets if not f & bit]
-            holders: dict[int, int] = {}  # vertex bit -> bitset of the rest facets holding it
-            for i, r in enumerate(rest):
-                here = 1 << i
-                while r:
-                    low = r & -r
-                    holders[low] = holders.get(low, 0) | here
-                    r ^= low
+            holders = _holders(map(_vertices_of, rest), width)
             without = list(rest)
             everyone = (1 << len(rest)) - 1
             for g in link:
-                meet, left = everyone, g
-                while left and meet:
-                    low = left & -left
-                    meet &= holders.get(low, 0)
-                    left ^= low
+                meet = everyone
+                for v in _vertices_of(g):
+                    meet &= holders[v]
+                    if not meet:
+                        break
                 if not meet:
                     without.append(g)
             deletion = count(without)

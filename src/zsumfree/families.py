@@ -184,11 +184,7 @@ def closed_form_char_poly(spec: FamilySpec) -> list[int]:
     known to deviate from the Möbius computation.
     """
     if spec.kind == "doubling":
-        coeffs = [0] * (spec.ell + 1)
-        coeffs[spec.ell] += 1
-        coeffs[spec.rho] -= 2**spec.m
-        coeffs[0] += 2**spec.m - 1
-        return coeffs
+        return disjoint_union_char_poly(spec.ell, (spec.rho,) * 2**spec.m)
     if spec.kind == "prime-power":
         p, e = spec.p, spec.e
         coeffs = [0] * spec.n

@@ -64,7 +64,10 @@ def is_face(params: ZsfParams, members) -> bool:
     0 ∉ R_ell.  Cost O(ell · n · |members|) bit operations.
     """
     n, ell = params.n, params.ell
-    s = set(members)
+    try:
+        s = set(members)
+    except TypeError as exc:  # not iterable, or a member that is unhashable
+        raise ValueError(f"members must be an iterable of residues: {exc}") from None
     _check_vertices(s)
     s = sorted(s)
     if any(x < 0 or x >= n for x in s):
@@ -240,6 +243,15 @@ def minimal_nonfaces(params: ZsfParams) -> list[int]:
     return _sorted_sets(masks)
 
 
+def _edges_at(n: int, edges: list[int]) -> list[list[int]]:
+    """edges_at[v] lists the masks in `edges` that hold vertex v, in their order."""
+    edges_at: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        for v in _vertices_of(e):
+            edges_at[v].append(e)
+    return edges_at
+
+
 def _maximal_nonface_free(n: int, mnf: list[int]) -> list[int]:
     """Maximal subsets of 0..n-1 holding none of the minimal non-faces `mnf`.
 
@@ -294,14 +306,8 @@ def _maximal_nonface_free(n: int, mnf: list[int]) -> list[int]:
     """
     full = (1 << n) - 1
     img, self_bits, guards, offsets = _unit_table(n)
-    support = full
-    edges_at: list[list[int]] = [[] for _ in range(n)]
-    for e in mnf:
-        if e & (e - 1):
-            for v in _vertices_of(e):
-                edges_at[v].append(e)
-        else:
-            support &= ~e
+    support = full & ~reduce(or_, [e for e in mnf if not e & (e - 1)], 0)
+    edges_at = _edges_at(n, [e for e in mnf if e & (e - 1)])
     found: set[int] = set()
 
     def completes(u: int, horizon: int) -> bool:
@@ -428,11 +434,7 @@ def _f_vector(params: ZsfParams, mnf: list[int], c: SimplicialComplex | None) ->
     if c is not None and 1 << (c.dim() + 1) > order * len(c._facet_masks):
         return faces_by_dimension(c)
     ones = guards >> n
-    edges_at: dict[int, list[int]] = {v: [] for v in _vertices_of(rest)}
-    for e in edges:
-        if e & rest:
-            for v in _vertices_of(e):
-                edges_at[v].append(e)
+    edges_at = _edges_at(n, edges)
     counts = [0] * (n + 1)
 
     def dfs(mask: int, images: int, copies: int, blocked: int, cand: int, size: int) -> None:

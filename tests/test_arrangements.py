@@ -231,12 +231,16 @@ def test_non_graded_fixture():
 
 
 def test_grading_from_every_maximal_chain():
-    """Graded means every maximal chain from element 0 has one length, the rank."""
+    """Graded means every maximal chain from element 0 has one length, the rank.
+
+    The rank is read at the last element, the intersection of all facets, so
+    that element must be the only one with no upper cover."""
     for c in poset_corpus() + [NON_GRADED]:
         p = build_poset(c)
         ups = [[] for _ in p.mobius]
         for i, j in p.covers:
             ups[i].append(j)
+        assert [i for i, up in enumerate(ups) if not up] == [len(ups) - 1], c
         lengths = set()
         stack = [(0, 0)]
         while stack:

@@ -129,6 +129,15 @@ def test_constructor_validation():
         except ValueError:
             continue
         raise AssertionError("constructor accepted invalid input")
+    # the holder table spans more than 64 facets and reaches vertex 63
+    pairs = [fs(i, j) for i in range(12) for j in range(i + 1, 12)]
+    assert len(SimplicialComplex(range(15), pairs + [fs(12, 13, 14)]).facets) == 67
+    for ground, facets in [
+        (range(12), pairs + [fs(9, 10, 11)]),              # 67 facets, three pairs inside the triple
+        (range(64), [fs(1, 63), fs(1, 2, 63), fs(5, 6)]),  # {1, 63} inside {1, 2, 63}
+    ]:
+        with pytest.raises(ValueError, match="facets must be pairwise inclusion-incomparable"):
+            SimplicialComplex(ground, facets)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,9 @@ def test_is_face_rejects_non_int_members():
     for members in ([1.5], [1.0], [True], ["1"], [2, 3.0]):
         with pytest.raises(ValueError, match="must be ints"):
             is_face(ZsfParams(6, 3), members)
+    for members in (5, [[1]]):  # not iterable; an unhashable member
+        with pytest.raises(ValueError, match="members must be an iterable of residues"):
+            is_face(ZsfParams(6, 3), members)
 
 
 def test_is_face_matches_multiset_oracle():
