@@ -12,7 +12,6 @@ from .arrangements import (
     IntersectionPoset,
     build_poset,
     disjoint_union_char_poly,
-    verify_disjoint_union_char_poly,
 )
 from .complexes import (
     CapacityError,
@@ -39,13 +38,10 @@ from .conjectures import (
 )
 from .families import (
     FamilySpec,
-    arms_legs_facets,
     closed_form_char_poly,
-    doubling_facets,
     expected_char_poly_discrepancies,
     family_facets,
     family_report_ok,
-    prime_power_facets,
     verify_family,
 )
 from .partitions import (
@@ -82,7 +78,6 @@ __all__ = [
     "ZsfParams",
     "alexander_dual",
     "alternating_binomial_sum",
-    "arms_legs_facets",
     "binomial",
     "brute_force_complex",
     "build_complex",
@@ -93,7 +88,6 @@ __all__ = [
     "count_partitions",
     "decompose_disjoint_simplices",
     "disjoint_union_char_poly",
-    "doubling_facets",
     "enumerate_nlc",
     "enumerate_partitions",
     "expected_char_poly_discrepancies",
@@ -109,12 +103,10 @@ __all__ = [
     "isolated_vertices",
     "minimal_nonfaces",
     "minimal_nonfaces_of_complex",
-    "prime_power_facets",
     "scan_connectivity",
     "scan_hvector_purity",
     "scan_log_concavity",
     "scan_no_isolated_vertices",
     "scan_purity_prime",
-    "verify_disjoint_union_char_poly",
     "verify_family",
 ]

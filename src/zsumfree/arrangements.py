@@ -42,7 +42,7 @@ from .complexes import (
     SimplicialComplex,
     _holders,
     _vertices_of,
-    decompose_disjoint_simplices,
+    check_complex,
 )
 from .partitions import check_ints
 
@@ -62,8 +62,7 @@ class IntersectionPoset:
     """
 
     def __init__(self, c: SimplicialComplex):
-        if not isinstance(c, SimplicialComplex):
-            raise ValueError(f"an intersection poset needs a SimplicialComplex, got {type(c).__name__}")
+        check_complex(c)
         facet_masks = c._facet_masks
         if facet_masks == [0]:
             raise ValueError("the void complex has no subspaces to arrange")
@@ -179,12 +178,3 @@ def disjoint_union_char_poly(n_vertices: int, parts) -> list[int]:
         coeffs[p] -= 1
     coeffs[0] += len(parts) - 1
     return coeffs
-
-
-def verify_disjoint_union_char_poly(c: SimplicialComplex) -> bool:
-    """Check the Möbius χ of a disjoint-union complex against its closed form."""
-    parts = decompose_disjoint_simplices(c)
-    if parts is None:
-        raise ValueError("facets are not pairwise disjoint")
-    poset = build_poset(c)
-    return poset.char_poly == disjoint_union_char_poly(poset.n_vertices, parts)

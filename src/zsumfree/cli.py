@@ -55,7 +55,7 @@ from .complexes import (
     is_pure,
 )
 from .conjectures import N_MAX_CAP, SCANNERS
-from .families import FamilySpec, family_report_ok, verify_family
+from .families import FAMILY_FIELDS, FamilySpec, family_report_ok, verify_family
 from .zerosumfree import (
     ZsfParams,
     _f_vector,
@@ -79,19 +79,16 @@ EXIT_COUNTEREXAMPLE = 5
 EXIT_BROKEN_PIPE = 141
 
 
-def _dump(obj) -> str:
+def _encode(obj, newline: str = "\n") -> str:
     """The text of `json.dumps(obj, indent=2, sort_keys=True)`, built with one
     join per container: CPython's C encoder does not do indented output.
+    `newline` is the line break and indent that `obj` itself sits at.
 
     A list whose items are all non-empty lists of exact ints (facets,
     minimal non-faces, Hasse pairs) is written as rows, with one join over
     all of them and no call per row; one C-level pass over the types of the
     rows and of their items decides it, so a row holding a bool or a float,
     a tuple row or an empty row takes the general path."""
-    return _encode(obj, "\n")
-
-
-def _encode(obj, newline: str) -> str:
     # keys must be strings; floats and int subclasses go through json.dumps
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
@@ -270,7 +267,7 @@ def cmd_compute(args) -> int:
         text, c = entry
     else:
         c = build_complex(params)
-        text = _dump(_complex_payload(params, c))
+        text = _encode(_complex_payload(params, c))
         if use_cache:
             try:
                 store_payload(params.n, params.ell, text)
@@ -298,23 +295,18 @@ def cmd_compute(args) -> int:
 
 
 def _family_spec(args) -> FamilySpec:
-    def need(name):
-        value = getattr(args, name)
+    """The instance that the flags of `args.kind` give; the other kinds' flags are ignored."""
+    values = {name: getattr(args, name) for name in FAMILY_FIELDS[args.kind]}
+    for name, value in values.items():
         if value is None:
             raise ValueError(f"family '{args.kind}' requires --{name}")
-        return value
-
-    if args.kind == "doubling":
-        return FamilySpec.doubling(need("rho"), need("m"))
-    if args.kind == "prime-power":
-        return FamilySpec.prime_power(need("p"), need("e"))
-    return FamilySpec.arms_legs(need("p"), need("s"))
+    return FamilySpec(args.kind, **values)
 
 
 def cmd_family(args) -> int:
     spec = _family_spec(args)
     report = verify_family(spec, oracle=args.oracle)
-    print(_dump(report))
+    print(_encode(report))
     if not family_report_ok(spec, report):
         print("family verification found an unexpected mismatch", file=sys.stderr)
         return EXIT_MISMATCH
@@ -335,7 +327,7 @@ def cmd_scan(args) -> int:
         report = scanner(value, include_repeated=True)
     else:
         report = scanner(value)
-    print(_dump(report.to_json()))
+    print(_encode(report.to_json()))
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
 
 
@@ -361,7 +353,7 @@ def cmd_table(args) -> int:
         raise CapacityError(f"table supports n_max up to {N_MAX_CAP}, got {args.n_max}")
     rows = table_rows(args.n_max)
     if args.json:
-        print(_dump(rows))
+        print(_encode(rows))
     else:
         for row in rows:
             print(row)
@@ -406,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("family", help="verify a closed-form facet family")
-    p.add_argument("kind", choices=["doubling", "prime-power", "arms-legs"])
+    p.add_argument("kind", choices=list(FAMILY_FIELDS))
     p.add_argument("--rho", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--p", type=int)

@@ -1,11 +1,12 @@
 """Simplicial complexes on small integer vertex sets.
 
 A complex is stored by its facets (inclusion-maximal faces).  Vertices are
-nonnegative integers below 64, so every face is a bit mask, bit v standing
-for vertex v: a complex keeps its facet masks and decodes them into
-frozensets only when `facets` is first read, and the minimal non-faces are
-returned as masks.  Every complex contains the empty face; the void complex
-is ``{∅}`` with the single facet ``frozenset()``.
+nonnegative integers below `MAX_VERTICES`, the package's one vertex bound,
+so every face is a bit mask, bit v standing for vertex v: a complex keeps
+its facet masks and decodes them into frozensets only when `facets` is first
+read, and the minimal non-faces are returned as masks.  Every complex
+contains the empty face; the void complex is ``{∅}`` with the single facet
+``frozenset()``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from itertools import chain, zip_longest
 from operator import and_, or_
 
 from .partitions import binomial, check_partition, conjugate
+
+MAX_VERTICES = 64  # the width of a vertex mask: vertices are 0..MAX_VERTICES-1
+_VERTEX_RANGE = f"vertices must be integers in 0..{MAX_VERTICES - 1}"
 
 
 class CapacityError(ValueError):
@@ -46,12 +50,13 @@ def _byte_vertices(j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-_BYTE_VERTICES = tuple(map(_byte_vertices, range(8)))
+_BYTE_VERTICES = tuple(map(_byte_vertices, range(MAX_VERTICES // 8)))
 
 
 def _vertices_of(mask: int) -> tuple[int, ...]:
-    """The set bits of `mask`, ascending; 0 ≤ mask < 2^64 (else OverflowError).
-    One table lookup per byte."""
+    """The set bits of `mask`, ascending; 0 ≤ mask < 2^MAX_VERTICES (else
+    OverflowError).  One table lookup per byte, unrolled (faster than a loop)
+    over the MAX_VERTICES // 8 = 8 bytes: a wider bound must widen it."""
     t, b = _BYTE_VERTICES, mask.to_bytes(8, "little")
     low = t[0][b[0]] + t[1][b[1]] + t[2][b[2]] + t[3][b[3]]
     return low + t[4][b[4]] + t[5][b[5]] + t[6][b[6]] + t[7][b[7]] if mask >> 32 else low
@@ -104,8 +109,8 @@ class SimplicialComplex:
             raise ValueError(f"ground and facets must be iterables of vertices: {exc}") from None
         vertices = [*ground, *chain.from_iterable(facets)]
         _check_vertices(vertices)
-        if vertices and not 0 <= min(vertices) <= max(vertices) <= 63:
-            raise ValueError("vertices must be integers in 0..63")
+        if vertices and not 0 <= min(vertices) <= max(vertices) < MAX_VERTICES:
+            raise ValueError(_VERTEX_RANGE)
         self._store(_mask_of(ground), [_mask_of(f) for f in facets])
 
     @classmethod
@@ -118,14 +123,14 @@ class SimplicialComplex:
     def _store(self, ground: int, masks: list[int]) -> None:
         if set(map(type, masks)) | {type(ground)} != {int}:
             raise ValueError("vertex masks must be ints")
-        if not 0 <= ground < 1 << 64:
-            raise ValueError("vertices must be integers in 0..63")
+        if not 0 <= ground < 1 << MAX_VERTICES:
+            raise ValueError(_VERTEX_RANGE)
         if not masks:
             raise ValueError("a complex needs at least one facet (use {frozenset()} for the void complex)")
         for m in masks:
             if m & ~ground:
-                if m < 0 or m >> 64:
-                    raise ValueError("vertices must be integers in 0..63")
+                if m < 0 or m >> MAX_VERTICES:
+                    raise ValueError(_VERTEX_RANGE)
                 raise ValueError(f"facet {list(_vertices_of(m))} is not a subset of the ground set")
         masks = sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
         if len(set(masks)) != len(masks):
@@ -175,6 +180,12 @@ class SimplicialComplex:
         return f"SimplicialComplex(ground=0..{self._ground_mask.bit_length() - 1}, facets=[{facets}])"
 
 
+def check_complex(c) -> None:
+    """Raise ValueError unless `c` is a SimplicialComplex."""
+    if not isinstance(c, SimplicialComplex):
+        raise ValueError(f"expected a SimplicialComplex, got {type(c).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # face counting
 
@@ -195,6 +206,7 @@ def faces_by_dimension(c: SimplicialComplex) -> list[int]:
     the facets holding each vertex of g meet; those holders are bitsets over
     the facets without v (`_holders`).
     """
+    check_complex(c)
     memo: dict[frozenset, list[int]] = {}
     width = c._ground_mask.bit_length()
 
@@ -288,6 +300,7 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
 def minimal_nonfaces_of_complex(c: SimplicialComplex) -> list[int]:
     """Inclusion-minimal non-faces, as vertex masks in the order of
     `minimal_nonfaces`: minimal sets hitting every facet complement."""
+    check_complex(c)
     edges = [c._ground_mask ^ m for m in c._facet_masks]
     if any(e == 0 for e in edges):
         return []
@@ -312,11 +325,13 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
 
 def is_pure(c: SimplicialComplex) -> bool:
     """True when every facet has the same dimension."""
+    check_complex(c)
     return len(set(map(int.bit_count, c._facet_masks))) <= 1
 
 
 def is_connected(c: SimplicialComplex) -> bool:
     """Connectivity of the 1-skeleton on supported vertices (≤ 1 vertex counts as connected)."""
+    check_complex(c)
     components: list[int] = []  # vertex masks; each facet absorbs the ones it meets
     for f in c._facet_masks:
         apart = []
@@ -331,6 +346,7 @@ def is_connected(c: SimplicialComplex) -> bool:
 
 def isolated_vertices(c: SimplicialComplex) -> list[int]:
     """Vertices lying in no edge, i.e. vertices that are themselves facets."""
+    check_complex(c)
     return sorted(m.bit_length() - 1 for m in c._facet_masks if m and not m & (m - 1))
 
 
@@ -340,6 +356,7 @@ def decompose_disjoint_simplices(c: SimplicialComplex):
     A complex with pairwise disjoint facets is the disjoint union of simplices
     joined at the empty face.  The void complex decomposes as ().
     """
+    check_complex(c)
     union = 0
     for m in c._facet_masks:
         if union & m:

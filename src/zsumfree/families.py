@@ -66,9 +66,16 @@ def _n_text(base: int, exp: int, factor: int = 1) -> str:
     return f"{base}^{exp}" if factor == 1 else f"{base}^{exp}·{factor}"
 
 
+# the fields each kind of family instance takes, in the order they are checked
+FAMILY_FIELDS = {"doubling": ("rho", "m"), "prime-power": ("p", "e"), "arms-legs": ("p", "s")}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """One family instance; exactly the fields for its kind are set."""
+    """One family instance; exactly the fields for its kind are set.  The
+    constructor refuses an unknown kind, a field the kind does not take, a
+    non-int field (a missing one is None), an n past BUILD_CAP
+    (CapacityError) and a value out of range."""
 
     kind: str
     rho: int | None = None
@@ -77,42 +84,55 @@ class FamilySpec:
     e: int | None = None
     s: int | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in FAMILY_FIELDS:
+            raise ValueError(f"kind must be one of {', '.join(FAMILY_FIELDS)}, got {self.kind!r}")
+        takes = FAMILY_FIELDS[self.kind]
+        for name in ("rho", "m", "p", "e", "s"):
+            if name not in takes and getattr(self, name) is not None:
+                raise ValueError(f"family '{self.kind}' takes no {name}")
+        check_ints(**{name: getattr(self, name) for name in takes})
+        if self.kind == "doubling":
+            rho, m = self.rho, self.m
+            if rho < 1 or rho % 2 == 0:
+                raise ValueError(f"rho must be a positive odd integer, got {rho}")
+            if m < 0:
+                raise ValueError(f"m must be nonnegative, got {m}")
+            # 2^(m+1) > BUILD_CAP once m + 1 ≥ BUILD_CAP.bit_length(), so n is built only below that
+            if m + 1 >= BUILD_CAP.bit_length() or 2 ** (m + 1) * rho > BUILD_CAP:
+                raise CapacityError(f"doubling({rho},{m}) needs n = {_n_text(2, m + 1, rho)} > {BUILD_CAP}")
+        elif self.kind == "prime-power":
+            p, e = self.p, self.e
+            # the cap is checked before the primality test, whose trial division
+            # grinds on a large p; for p ≥ 2, p^e passes the cap once p does or
+            # e ≥ BUILD_CAP.bit_length()
+            if p > 1 and e > 0 and (p > BUILD_CAP or e >= BUILD_CAP.bit_length() or p**e > BUILD_CAP):
+                raise CapacityError(f"prime_power({p},{e}) needs n = {_n_text(p, e)} > {BUILD_CAP}")
+            if not is_prime(p):
+                raise ValueError(f"p must be prime, got {p}")
+            if e < 1:
+                raise ValueError(f"e must be positive, got {e}")
+        else:
+            p, s = self.p, self.s
+            if 2 * p > BUILD_CAP:  # before the primality test, as for prime-power
+                raise CapacityError(f"arms_legs({p},{s}) needs n = {_n_text(2, 1, p)} > {BUILD_CAP}")
+            if not is_prime(p) or p == 2:
+                raise ValueError(f"p must be an odd prime, got {p}")
+            if s not in (1, 2, 3):
+                raise ValueError(f"s must be 1, 2 or 3, got {s}")
+            if s == 3 and p < 5:
+                raise ValueError("s = 3 requires p >= 5")
+
     @classmethod
     def doubling(cls, rho: int, m: int) -> "FamilySpec":
-        check_ints(rho=rho, m=m)
-        if rho < 1 or rho % 2 == 0:
-            raise ValueError(f"rho must be a positive odd integer, got {rho}")
-        if m < 0:
-            raise ValueError(f"m must be nonnegative, got {m}")
-        # 2^(m+1) ≥ 2^7 > BUILD_CAP once m ≥ 6, so n is built only below that
-        if m + 1 >= BUILD_CAP.bit_length() or 2 ** (m + 1) * rho > BUILD_CAP:
-            raise CapacityError(f"doubling({rho},{m}) needs n = {_n_text(2, m + 1, rho)} > {BUILD_CAP}")
         return cls("doubling", rho=rho, m=m)
 
     @classmethod
     def prime_power(cls, p: int, e: int) -> "FamilySpec":
-        check_ints(p=p, e=e)
-        # the cap is checked before the primality test, whose trial division
-        # grinds on a large p; for p ≥ 2, p^e passes the cap once p does or e ≥ 7
-        if p > 1 and e > 0 and (p > BUILD_CAP or e >= BUILD_CAP.bit_length() or p**e > BUILD_CAP):
-            raise CapacityError(f"prime_power({p},{e}) needs n = {_n_text(p, e)} > {BUILD_CAP}")
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if e < 1:
-            raise ValueError(f"e must be positive, got {e}")
         return cls("prime-power", p=p, e=e)
 
     @classmethod
     def arms_legs(cls, p: int, s: int) -> "FamilySpec":
-        check_ints(p=p, s=s)
-        if 2 * p > BUILD_CAP:  # before the primality test, as in `prime_power`
-            raise CapacityError(f"arms_legs({p},{s}) needs n = {_n_text(2, 1, p)} > {BUILD_CAP}")
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if s not in (1, 2, 3):
-            raise ValueError(f"s must be 1, 2 or 3, got {s}")
-        if s == 3 and p < 5:
-            raise ValueError("s = 3 requires p >= 5")
         return cls("arms-legs", p=p, s=s)
 
     @property
@@ -135,45 +155,30 @@ class FamilySpec:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def doubling_facets(rho: int, m: int) -> SimplicialComplex:
-    """The 2^m facets {x ≡ 2t+1 mod 2^(m+1)} of Δ_{n, n/2}, n = 2^(m+1)·ρ."""
-    spec = FamilySpec.doubling(rho, m)
-    n = spec.n
-    modulus = 2 ** (m + 1)
-    facets = [frozenset(range(2 * t + 1, n, modulus)) for t in range(2**m)]
-    return SimplicialComplex(range(n), facets)
-
-
-def prime_power_facets(p: int, e: int) -> SimplicialComplex:
-    """The e·(p-1) facets V_{i,j} = {x ≡ i·p^(j-1) mod p^j} of Δ_{p^e, p^e - 1}."""
-    spec = FamilySpec.prime_power(p, e)
-    n = spec.n
-    facets = []
-    for j in range(1, e + 1):
-        for i in range(1, p):
-            start = i * p ** (j - 1)
-            facets.append(frozenset(x for x in range(start, n, p**j)))
-    return SimplicialComplex(range(n), facets)
-
-
-def arms_legs_facets(p: int, s: int) -> SimplicialComplex:
-    """Arms {i, i+p}, the odd facet (s odd), and legs {i, -2i mod 2p} (s=3)."""
-    spec = FamilySpec.arms_legs(p, s)
-    n = spec.n
-    facets = [frozenset({i, i + p}) for i in range(1, p)]
-    if s in (1, 3):
-        facets.append(frozenset(range(1, n, 2)))
-    if s == 3:
-        facets.extend(frozenset({i, (-2 * i) % n}) for i in range(1, n, 2) if i != p)
-    return SimplicialComplex(range(n), facets)
+def check_spec(spec) -> None:
+    """Raise ValueError unless `spec` is a FamilySpec."""
+    if not isinstance(spec, FamilySpec):
+        raise ValueError(f"expected a FamilySpec, got {type(spec).__name__}")
 
 
 def family_facets(spec: FamilySpec) -> SimplicialComplex:
+    """The closed-form facets of `spec` (see the module docstring) on the ground set 0..n-1."""
+    check_spec(spec)
+    n = spec.n
     if spec.kind == "doubling":
-        return doubling_facets(spec.rho, spec.m)
-    if spec.kind == "prime-power":
-        return prime_power_facets(spec.p, spec.e)
-    return arms_legs_facets(spec.p, spec.s)
+        modulus = 2 ** (spec.m + 1)
+        facets = [frozenset(range(2 * t + 1, n, modulus)) for t in range(2**spec.m)]
+    elif spec.kind == "prime-power":
+        p = spec.p
+        facets = [frozenset(range(i * p ** (j - 1), n, p**j)) for j in range(1, spec.e + 1) for i in range(1, p)]
+    else:
+        p, s = spec.p, spec.s
+        facets = [frozenset({i, i + p}) for i in range(1, p)]
+        if s in (1, 3):
+            facets.append(frozenset(range(1, n, 2)))
+        if s == 3:
+            facets.extend(frozenset({i, (-2 * i) % n}) for i in range(1, n, 2) if i != p)
+    return SimplicialComplex(range(n), facets)
 
 
 def closed_form_char_poly(spec: FamilySpec) -> list[int]:
@@ -183,6 +188,7 @@ def closed_form_char_poly(spec: FamilySpec) -> list[int]:
     `expected_char_poly_discrepancies` for the degrees where this form is
     known to deviate from the Möbius computation.
     """
+    check_spec(spec)
     if spec.kind == "doubling":
         return disjoint_union_char_poly(spec.ell, (spec.rho,) * 2**spec.m)
     if spec.kind == "prime-power":
@@ -244,6 +250,7 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
     True forces it (capacity error beyond 24, raised before any build),
     False skips it.
     """
+    check_spec(spec)
     if oracle:
         check_oracle_capacity(spec.n)
     params = ZsfParams(spec.n, spec.ell)

@@ -22,6 +22,7 @@ from math import gcd
 from operator import or_
 
 from .complexes import (
+    MAX_VERTICES,
     CapacityError,
     SimplicialComplex,
     _check_vertices,
@@ -31,7 +32,7 @@ from .complexes import (
 )
 from .partitions import binomial, check_ints, enumerate_partitions
 
-BUILD_CAP = 64
+BUILD_CAP = MAX_VERTICES  # a vertex of Δ_{n,ℓ} is a residue in 0..n-1
 BRUTE_FORCE_CAP = 24
 FACET_COUNT_CAP = 4096
 
@@ -57,12 +58,19 @@ class ZsfParams:
             raise ValueError(f"ell must satisfy 0 < ell < n, got ell={self.ell}, n={self.n}")
 
 
+def check_params(params) -> None:
+    """Raise ValueError unless `params` is a ZsfParams."""
+    if not isinstance(params, ZsfParams):
+        raise ValueError(f"expected a ZsfParams, got {type(params).__name__}")
+
+
 def is_face(params: ZsfParams, members) -> bool:
     """True when no multiset of exactly `ell` elements of `members` sums to 0 mod n.
 
     Layered reachability: R_0 = {0}, R_{t+1} = R_t + members; face iff
     0 ∉ R_ell.  Cost O(ell · n · |members|) bit operations.
     """
+    check_params(params)
     n, ell = params.n, params.ell
     try:
         s = set(members)
@@ -93,6 +101,7 @@ def enumerate_nlc(params: ZsfParams) -> list[frozenset]:
     with zeros is what makes the count exactly `ell`).  Exponential in n; for
     large parameters use `minimal_nonfaces` directly.
     """
+    check_params(params)
     n, ell = params.n, params.ell
     found: set[frozenset] = set()
     for m in range((n - 1) * ell // n + 1):
@@ -199,6 +208,7 @@ def minimal_nonfaces(params: ZsfParams) -> list[int]:
     all of them were visited, one set lookup per element.  The orbits of the
     minimal canonical children are the minimal non-faces besides {0}.
     """
+    check_params(params)
     n, ell = params.n, params.ell
     full = (1 << n) - 1
     img, self_bits, guards, offsets = _unit_table(n)
@@ -357,10 +367,11 @@ def _maximal_nonface_free(n: int, mnf: list[int]) -> list[int]:
 def build_complex(params: ZsfParams) -> SimplicialComplex:
     """Δ_{n,ℓ} via the NLC pipeline: minimal non-faces, then maximal avoiding sets.
 
-    Raises CapacityError for n > 64 or when the facet count passes
-    FACET_COUNT_CAP (degenerate near-independent instances such as ℓ = 2
-    with large even n have exponentially many facets).
+    Raises CapacityError for n > BUILD_CAP = `complexes.MAX_VERTICES` or when
+    the facet count passes FACET_COUNT_CAP (degenerate near-independent
+    instances such as ℓ = 2 with large even n have exponentially many facets).
     """
+    check_params(params)
     n = params.n
     if n > BUILD_CAP:
         raise CapacityError(f"build_complex supports n ≤ {BUILD_CAP}, got {n}")
@@ -499,6 +510,7 @@ def brute_force_complex(params: ZsfParams) -> SimplicialComplex:
     The facet masks are read off the set bits of the unmarked faces by a
     string search, one Python step per facet.
     """
+    check_params(params)
     n, ell = params.n, params.ell
     check_oracle_capacity(n)
     half = 1 << (n - 2)  # the size of the top block, that of vertex n-1

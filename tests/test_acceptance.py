@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import conftest
 from zsumfree.arrangements import (
     build_poset,
-    verify_disjoint_union_char_poly,
+    disjoint_union_char_poly,
 )
 from zsumfree.cli import main
 from zsumfree.complexes import (
@@ -132,9 +132,8 @@ def test_criterion_4_characteristic_polynomials():
             if rep["decomposition"] is not None:
                 # disjoint-union formula applies and must hold
                 assert rep["disjoint_union_formula_ok"] is True, spec
-                assert verify_disjoint_union_char_poly(
-                    build_complex(ZsfParams(spec.n, spec.ell))
-                ), spec
+                poset = build_poset(build_complex(ZsfParams(spec.n, spec.ell)))
+                assert poset.char_poly == disjoint_union_char_poly(poset.n_vertices, rep["decomposition"]), spec
 
 
 def test_criterion_5_gradedness_and_rank():

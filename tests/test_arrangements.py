@@ -12,7 +12,6 @@ from zsumfree.arrangements import (
     IntersectionPoset,
     build_poset,
     disjoint_union_char_poly,
-    verify_disjoint_union_char_poly,
 )
 from zsumfree.complexes import (
     CapacityError,
@@ -131,22 +130,26 @@ def test_disjoint_union_formula_on_disjoint_corpus():
         parts = decompose_disjoint_simplices(c)
         if parts is None:
             continue
-        assert verify_disjoint_union_char_poly(c), c.facets
+        poset = build_poset(c)
+        assert poset.char_poly == disjoint_union_char_poly(poset.n_vertices, parts), c.facets
 
 
 def test_disjoint_union_formula_values():
     c = build_complex(ZsfParams(9, 8))
-    assert build_poset(c).char_poly == [3, -2, 0, -2, 0, 0, 0, 0, 1]
-    assert verify_disjoint_union_char_poly(c)
+    assert decompose_disjoint_simplices(c) == (3, 3, 1, 1)
+    assert build_poset(c).char_poly == [3, -2, 0, -2, 0, 0, 0, 0, 1] == disjoint_union_char_poly(8, (3, 3, 1, 1))
     c = build_complex(ZsfParams(12, 9))
-    assert build_poset(c).char_poly == [1, 0, 0, -1, 0, 0, -1, 0, 0, 1]
-    assert verify_disjoint_union_char_poly(c)
+    assert decompose_disjoint_simplices(c) == (6, 3)
+    assert build_poset(c).char_poly == [1, 0, 0, -1, 0, 0, -1, 0, 0, 1] == disjoint_union_char_poly(9, (6, 3))
 
 
 def test_disjoint_union_formula_rejects_overlap():
     c = SimplicialComplex(range(4), [fs(1, 2), fs(2, 3)])
+    assert decompose_disjoint_simplices(c) is None
+    # overlapping facets' sizes pass the supported vertex count, so the
+    # closed form refuses them
     with pytest.raises(ValueError):
-        verify_disjoint_union_char_poly(c)
+        disjoint_union_char_poly(len(c.supported_vertices()), [len(f) for f in c.facets])
 
 
 def test_disjoint_union_char_poly_closed_form():

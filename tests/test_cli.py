@@ -15,7 +15,7 @@ import zsumfree.cli as cli
 import zsumfree.conjectures as conj
 import zsumfree.families as fam
 from zsumfree.cli import main, table_rows
-from zsumfree.complexes import SimplicialComplex
+from zsumfree.complexes import MAX_VERTICES, CapacityError, SimplicialComplex
 from zsumfree.conjectures import ScanReport
 from zsumfree.zerosumfree import ZsfParams, build_complex
 
@@ -600,6 +600,23 @@ def test_family_capacity(capsys, monkeypatch):
     assert (code, out, err) == (4, "", "capacity exceeded: brute_force_complex supports n ≤ 24, got 62\n")
 
 
+def test_vertex_bound_is_one_constant(capsys):
+    # the complex's vertex range, `compute`'s cap and the family caps all read MAX_VERTICES
+    top = MAX_VERTICES - 1
+    SimplicialComplex(range(MAX_VERTICES), [{top}])
+    with pytest.raises(ValueError) as exc:
+        SimplicialComplex(range(MAX_VERTICES), [{MAX_VERTICES}])
+    assert str(exc.value) == f"vertices must be integers in 0..{top}"
+    n = MAX_VERTICES + 1
+    assert run_cli(capsys, "compute", str(n), "2", "--no-cache") == (
+        4, "", f"capacity exceeded: build_complex supports n ≤ {MAX_VERTICES}, got {n}\n")
+    m = MAX_VERTICES.bit_length() - 2  # 2^(m+1) = MAX_VERTICES
+    assert fam.FamilySpec.doubling(1, m).n == MAX_VERTICES
+    with pytest.raises(CapacityError) as exc:
+        fam.FamilySpec.doubling(1, m + 1)
+    assert str(exc.value) == f"doubling(1,{m + 1}) needs n = {2 * MAX_VERTICES} > {MAX_VERTICES}"
+
+
 def test_family_capacity_past_the_digit_limit(capsys):
     # n is compared with the cap without being built, and printed as a power
     # where its decimal would pass the int-to-str digit limit
@@ -789,13 +806,14 @@ def test_table_capacity(capsys):
 
 def test_dump_matches_json_dumps(capsys, monkeypatch):
     seen = []
-    dump = cli._dump
+    dump = cli._encode
 
-    def record(obj):
-        seen.append(obj)
-        return dump(obj)
+    def record(obj, newline="\n"):
+        if newline == "\n":  # a whole output, not a nested value
+            seen.append(obj)
+        return dump(obj, newline)
 
-    monkeypatch.setattr(cli, "_dump", record)
+    monkeypatch.setattr(cli, "_encode", record)
     commands = [
         ["compute", str(n), str(ell), "--arrangement", "--no-cache"]
         for n in range(2, 13)

@@ -5,22 +5,36 @@ from __future__ import annotations
 import pytest
 
 import zsumfree.arrangements as arrangements
-from zsumfree.complexes import CapacityError
+from zsumfree.complexes import (
+    CapacityError,
+    SimplicialComplex,
+    alexander_dual,
+    decompose_disjoint_simplices,
+    faces_by_dimension,
+    is_connected,
+    is_pure,
+    isolated_vertices,
+    minimal_nonfaces_of_complex,
+)
 from zsumfree.conjectures import scan_connectivity, scan_log_concavity
 from zsumfree.families import (
     FamilySpec,
-    arms_legs_facets,
     closed_form_char_poly,
-    doubling_facets,
     expected_char_poly_discrepancies,
     expected_rank,
     family_facets,
     family_report_ok,
     is_prime,
-    prime_power_facets,
     verify_family,
 )
-from zsumfree.zerosumfree import ZsfParams, is_face
+from zsumfree.zerosumfree import (
+    ZsfParams,
+    brute_force_complex,
+    build_complex,
+    enumerate_nlc,
+    is_face,
+    minimal_nonfaces,
+)
 
 
 def fs(*xs):
@@ -46,6 +60,23 @@ def test_spec_parameters():
     a = FamilySpec.arms_legs(5, 3)
     assert (a.n, a.ell) == (10, 7)
     assert a.to_json() == {"kind": "arms-legs", "p": 5, "s": 3}
+    assert (d, q, a) == tuple(FamilySpec(**spec.to_json()) for spec in (d, q, a))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "doubling", "rho": 3}, "m must be an int, got None"),
+        ({"kind": "bogus"}, "kind must be one of doubling, prime-power, arms-legs, got 'bogus'"),
+        ({"kind": "prime-power", "p": 4, "e": 1}, "p must be prime, got 4"),
+        ({"kind": "doubling", "rho": 3, "m": 0, "p": 5}, "family 'doubling' takes no p"),
+    ],
+    ids=["missing-field", "unknown-kind", "not-prime", "stray-field"],
+)
+def test_constructor_refuses_what_the_classmethods_refuse(fields, message):
+    with pytest.raises(ValueError) as exc:
+        FamilySpec(**fields)
+    assert str(exc.value) == message
 
 
 def test_spec_validation():
@@ -83,6 +114,43 @@ def test_library_arguments_must_be_ints(call):
         call()
 
 
+SPEC = FamilySpec.doubling(3, 1)
+COMPLEX = SimplicialComplex(range(3), [{1, 2}])
+PARAMS = ZsfParams(6, 3)
+
+
+def is_face_of_1(params):
+    return is_face(params, {1})
+
+
+# per function that takes a complex, a ZsfParams or a FamilySpec: an argument of another type
+WRONG_TYPES = [
+    (faces_by_dimension, PARAMS, "SimplicialComplex"),
+    (is_pure, None, "SimplicialComplex"),
+    (is_connected, [[1, 2]], "SimplicialComplex"),
+    (isolated_vertices, SPEC, "SimplicialComplex"),
+    (decompose_disjoint_simplices, "c", "SimplicialComplex"),
+    (alexander_dual, PARAMS, "SimplicialComplex"),
+    (minimal_nonfaces_of_complex, (3, 1), "SimplicialComplex"),
+    (arrangements.IntersectionPoset, PARAMS, "SimplicialComplex"),
+    (build_complex, (6, 3), "ZsfParams"),
+    (minimal_nonfaces, COMPLEX, "ZsfParams"),
+    (brute_force_complex, SPEC, "ZsfParams"),
+    (enumerate_nlc, None, "ZsfParams"),
+    (is_face_of_1, 6, "ZsfParams"),
+    (verify_family, PARAMS, "FamilySpec"),
+    (family_facets, {"kind": "doubling", "rho": 3, "m": 1}, "FamilySpec"),
+    (closed_form_char_poly, "doubling", "FamilySpec"),
+]
+
+
+@pytest.mark.parametrize("function, argument, expected", WRONG_TYPES, ids=[f.__name__ for f, _, _ in WRONG_TYPES])
+def test_library_arguments_must_have_their_type(function, argument, expected):
+    with pytest.raises(ValueError) as exc:
+        function(argument)
+    assert str(exc.value) == f"expected a {expected}, got {type(argument).__name__}"
+
+
 def test_spec_capacity():
     for bad in [
         lambda: FamilySpec.doubling(5, 3),
@@ -98,13 +166,13 @@ def test_spec_capacity():
 
 
 def test_doubling_facets_examples():
-    assert set(doubling_facets(3, 0).facets) == {fs(1, 3, 5)}
-    assert set(doubling_facets(3, 1).facets) == {fs(1, 5, 9), fs(3, 7, 11)}
-    assert set(doubling_facets(3, 2).facets) == {
+    assert set(family_facets(FamilySpec.doubling(3, 0)).facets) == {fs(1, 3, 5)}
+    assert set(family_facets(FamilySpec.doubling(3, 1)).facets) == {fs(1, 5, 9), fs(3, 7, 11)}
+    assert set(family_facets(FamilySpec.doubling(3, 2)).facets) == {
         fs(1, 9, 17), fs(3, 11, 19), fs(5, 13, 21), fs(7, 15, 23),
     }
-    assert set(doubling_facets(5, 0).facets) == {fs(1, 3, 5, 7, 9)}
-    assert set(doubling_facets(1, 2).facets) == {fs(1), fs(3), fs(5), fs(7)}
+    assert set(family_facets(FamilySpec.doubling(5, 0)).facets) == {fs(1, 3, 5, 7, 9)}
+    assert set(family_facets(FamilySpec.doubling(1, 2)).facets) == {fs(1), fs(3), fs(5), fs(7)}
 
 
 def test_doubling_facets_shape():
@@ -112,7 +180,7 @@ def test_doubling_facets_shape():
         for m in range(4):
             if 2 ** (m + 1) * rho > 64:
                 continue
-            c = doubling_facets(rho, m)
+            c = family_facets(FamilySpec.doubling(rho, m))
             assert len(c.facets) == 2**m
             assert all(len(f) == rho for f in c.facets)
             assert all(all(v % 2 == 1 for v in f) for f in c.facets)
@@ -121,17 +189,17 @@ def test_doubling_facets_shape():
 
 
 def test_prime_power_facets_examples():
-    assert set(prime_power_facets(2, 2).facets) == {fs(1, 3), fs(2)}
-    assert set(prime_power_facets(2, 3).facets) == {fs(1, 3, 5, 7), fs(2, 6), fs(4)}
-    assert set(prime_power_facets(3, 2).facets) == {
+    assert set(family_facets(FamilySpec.prime_power(2, 2)).facets) == {fs(1, 3), fs(2)}
+    assert set(family_facets(FamilySpec.prime_power(2, 3)).facets) == {fs(1, 3, 5, 7), fs(2, 6), fs(4)}
+    assert set(family_facets(FamilySpec.prime_power(3, 2)).facets) == {
         fs(1, 4, 7), fs(2, 5, 8), fs(3), fs(6),
     }
-    assert set(prime_power_facets(5, 1).facets) == {fs(1), fs(2), fs(3), fs(4)}
+    assert set(family_facets(FamilySpec.prime_power(5, 1)).facets) == {fs(1), fs(2), fs(3), fs(4)}
 
 
 def test_prime_power_facets_shape():
     for p, e in [(2, 4), (2, 5), (3, 3), (5, 2), (7, 2), (13, 1)]:
-        c = prime_power_facets(p, e)
+        c = family_facets(FamilySpec.prime_power(p, e))
         assert len(c.facets) == e * (p - 1)
         sizes = sorted((len(f) for f in c.facets), reverse=True)
         assert sizes == sorted(
@@ -143,9 +211,9 @@ def test_prime_power_facets_shape():
 
 
 def test_arms_legs_facets_examples():
-    assert set(arms_legs_facets(5, 2).facets) == {fs(1, 6), fs(2, 7), fs(3, 8), fs(4, 9)}
-    assert set(arms_legs_facets(3, 1).facets) == {fs(1, 4), fs(2, 5), fs(1, 3, 5)}
-    assert set(arms_legs_facets(5, 3).facets) == {
+    assert set(family_facets(FamilySpec.arms_legs(5, 2)).facets) == {fs(1, 6), fs(2, 7), fs(3, 8), fs(4, 9)}
+    assert set(family_facets(FamilySpec.arms_legs(3, 1)).facets) == {fs(1, 4), fs(2, 5), fs(1, 3, 5)}
+    assert set(family_facets(FamilySpec.arms_legs(5, 3)).facets) == {
         fs(1, 6), fs(2, 7), fs(3, 8), fs(4, 9),
         fs(1, 3, 5, 7, 9),
         fs(1, 8), fs(3, 4), fs(6, 7), fs(2, 9),
@@ -154,10 +222,10 @@ def test_arms_legs_facets_examples():
 
 def test_arms_legs_facet_counts():
     for p in (3, 5, 7, 11, 13):
-        assert len(arms_legs_facets(p, 2).facets) == p - 1
-        assert len(arms_legs_facets(p, 1).facets) == p
+        assert len(family_facets(FamilySpec.arms_legs(p, 2)).facets) == p - 1
+        assert len(family_facets(FamilySpec.arms_legs(p, 1)).facets) == p
         if p >= 5:
-            assert len(arms_legs_facets(p, 3).facets) == 2 * p - 1
+            assert len(family_facets(FamilySpec.arms_legs(p, 3)).facets) == 2 * p - 1
 
 
 def test_doubling_pairs_across_residue_classes_are_nonfaces():
@@ -321,12 +389,3 @@ def test_families_verify_large_instances():
         assert rep["oracle_match"] is (True if spec.n <= 24 else None), spec
         assert family_report_ok(spec, rep), (spec, rep)
 
-
-def test_family_facets_dispatcher():
-    for spec in [FamilySpec.doubling(3, 1), FamilySpec.prime_power(2, 3), FamilySpec.arms_legs(5, 2)]:
-        direct = {
-            "doubling": lambda: doubling_facets(spec.rho, spec.m),
-            "prime-power": lambda: prime_power_facets(spec.p, spec.e),
-            "arms-legs": lambda: arms_legs_facets(spec.p, spec.s),
-        }[spec.kind]()
-        assert family_facets(spec) == direct
