@@ -80,46 +80,36 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _encode(obj, newline: str = "\n") -> str:
-    """The text of `json.dumps(obj, indent=2, sort_keys=True)`, built with one
-    join per container: CPython's C encoder does not do indented output.
-    `newline` is the line break and indent that `obj` itself sits at.
-
-    A list whose items are all non-empty lists of exact ints (facets,
-    minimal non-faces, Hasse pairs) is written as rows, with one join over
-    all of them and no call per row; one C-level pass over the types of the
-    rows and of their items decides it, so a row holding a bool or a float,
-    a tuple row or an empty row takes the general path."""
-    # keys must be strings; floats and int subclasses go through json.dumps
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)`; `newline` is
+    the line break and indent that `obj` itself sits at.  CPython's C encoder
+    does not indent, so the shapes of the hot paths are written here with
+    one join per container: a non-empty dict with string keys, a non-empty
+    list of exact ints (f/h-vectors, decomposition, χ), a list of non-empty
+    lists of exact ints with one join over all the rows (facets, minimal
+    non-faces, Hasse pairs), and an exact int, True, False or None.  Every
+    other value is `json.dumps`: a JSON string holds no raw newline, so
+    replacing each line break with `newline` indents it exactly."""
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        list_rows = set(map(type, obj)) == {list} and all(obj)
-        if list_rows and set(map(type, chain.from_iterable(obj))) == {int}:
+    if isinstance(obj, dict) and obj:
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, list) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            return "[" + inner + ("," + inner).join(map(str, obj)) + newline + "]"
+        if kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
             deep = inner + "  "
             text = (inner + "]," + inner + "[" + deep).join(map(("," + deep).join, map(map, repeat(str), obj)))
             return "[" + inner + "[" + deep + text + inner + "]" + newline + "]"
-        items = [str(x) if type(x) is int else _encode(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if type(obj) is int:
+    elif type(obj) is int:
         return str(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            _quote(k) + ": " + (str(v) if type(v) is int else _encode(v, inner))
-            for k, v in sorted(obj.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(obj)
+    elif obj is True:
+        return "true"
+    elif obj is False:
+        return "false"
+    elif obj is None:
+        return "null"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +225,7 @@ def _poset_text(poset: IntersectionPoset) -> str:
     element rows are one `%` template, made by one join over the supports,
     that one `%` fills with the dimensions and Möbius values: no call per
     element.  Some support is not empty, as the void complex has no poset.
-    The Hasse pairs and χ take `_encode`'s row path."""
+    χ takes `_encode`'s int-list path and the Hasse pairs its row path."""
     masks = poset.support_masks
     empty = masks[-1] == 0  # the empty support is the smallest, so last
     element = '{\n        "dim": %d,\n        "mobius": %d,\n        "support": '
@@ -295,12 +285,11 @@ def cmd_compute(args) -> int:
 
 
 def _family_spec(args) -> FamilySpec:
-    """The instance that the flags of `args.kind` give; the other kinds' flags are ignored."""
-    values = {name: getattr(args, name) for name in FAMILY_FIELDS[args.kind]}
-    for name, value in values.items():
-        if value is None:
+    """The instance that the flags give; `FamilySpec` refuses a flag its kind does not take."""
+    for name in FAMILY_FIELDS[args.kind]:
+        if getattr(args, name) is None:
             raise ValueError(f"family '{args.kind}' requires --{name}")
-    return FamilySpec(args.kind, **values)
+    return FamilySpec(args.kind, rho=args.rho, m=args.m, p=args.p, e=args.e, s=args.s)
 
 
 def cmd_family(args) -> int:

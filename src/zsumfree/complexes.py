@@ -103,10 +103,11 @@ class SimplicialComplex:
 
     def __init__(self, ground, facets):
         try:
-            ground = frozenset(ground)
-            facets = [frozenset(f) for f in facets]
-        except TypeError as exc:  # not iterable, or a vertex that is unhashable
+            ground = list(ground)
+            facets = [list(f) for f in facets]
+        except TypeError as exc:
             raise ValueError(f"ground and facets must be iterables of vertices: {exc}") from None
+        # lists, not sets: a set would drop True beside 1 before the check
         vertices = [*ground, *chain.from_iterable(facets)]
         _check_vertices(vertices)
         if vertices and not 0 <= min(vertices) <= max(vertices) < MAX_VERTICES:

@@ -225,6 +225,7 @@ def expected_char_poly_discrepancies(spec: FamilySpec) -> tuple[int, ...]:
     * arms-legs s=3 — degrees 1 and 0: the leg/arm singleton intersections
       push μ(0̂,1̂) to -(p-1) and the degree-1 coefficient to 3(p-1).
     """
+    check_spec(spec)
     if spec.kind == "doubling":
         return ()
     if spec.kind == "prime-power":
@@ -237,6 +238,7 @@ def expected_char_poly_discrepancies(spec: FamilySpec) -> tuple[int, ...]:
 def expected_rank(spec: FamilySpec) -> int:
     """Poset rank the family is expected to have (1 for a lone facet), from
     the closed-form facet counts: 2^m, e(p-1), and at least the p-1 ≥ 2 arms."""
+    check_spec(spec)
     if spec.kind == "arms-legs":
         return 3 if spec.s in (1, 3) else 2
     facets = 2**spec.m if spec.kind == "doubling" else spec.e * (spec.p - 1)
@@ -311,6 +313,7 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
 
 def family_report_ok(spec: FamilySpec, report: dict) -> bool:
     """True when facets match and every arrangement claim holds or is an expected deviation."""
+    check_spec(spec)
     return (
         report["facets_match"]
         and report["oracle_match"] is not False

@@ -73,10 +73,11 @@ def is_face(params: ZsfParams, members) -> bool:
     check_params(params)
     n, ell = params.n, params.ell
     try:
+        members = list(members)
         s = set(members)
     except TypeError as exc:  # not iterable, or a member that is unhashable
         raise ValueError(f"members must be an iterable of residues: {exc}") from None
-    _check_vertices(s)
+    _check_vertices(members)  # as given: the set drops True beside 1
     s = sorted(s)
     if any(x < 0 or x >= n for x in s):
         raise ValueError(f"members must be residues in 0..{n - 1}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -588,6 +589,18 @@ def test_family_invalid_parameters(capsys):
         assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["doubling", "--rho", "3", "--m", "1", "--s", "2"], "family 'doubling' takes no s"),
+        (["arms-legs", "--p", "5", "--s", "3", "--e", "9"], "family 'arms-legs' takes no e"),
+    ],
+    ids=["doubling", "arms-legs"],
+)
+def test_family_refuses_a_flag_of_another_kind(capsys, argv, message):
+    assert run_cli(capsys, "family", *argv) == (2, "", f"invalid parameters: {message}\n")
+
+
 def test_family_capacity(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "family", "prime-power", "--p", "2", "--e", "7")
     assert code == 4 and "capacity exceeded" in err
@@ -846,6 +859,21 @@ def test_dump_matches_json_dumps(capsys, monkeypatch):
     ]
     for obj in seen:
         assert dump(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
+
+
+def test_stdout_matches_the_benchmark_digests(capsys):
+    # the sha256 of stdout that perfbench/digests.json records for every op of
+    # the benchmark's decks, keyed by the op without --no-cache
+    digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
+    differ = []
+    for key, expected in sorted(digests.items()):
+        argv = key.split()
+        if argv[0] == "compute":
+            argv.append("--no-cache")
+        code, out, _ = run_cli(capsys, *argv)
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != expected:
+            differ.append(key)
+    assert digests and differ == []
 
 
 def test_parser_reuse_leaks_no_flags(capsys):

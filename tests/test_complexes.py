@@ -120,6 +120,8 @@ def test_constructor_validation():
         lambda: SimplicialComplex(range(4), [fs(True)]),     # bool vertex
         lambda: SimplicialComplex(range(4), [fs("1")]),      # str vertex
         lambda: SimplicialComplex([0, 1.0], [fs(0)]),        # float in the ground set
+        lambda: SimplicialComplex(range(3), [[1, True]]),    # bool beside the int it equals
+        lambda: SimplicialComplex([0, False, 1], [[0, 1]]),  # likewise in the ground set
         lambda: SimplicialComplex(range(3), 5),              # facets not iterable
         lambda: SimplicialComplex(range(3), [[[]]]),         # an unhashable vertex
         lambda: SimplicialComplex(3, [fs(0)]),               # ground not iterable

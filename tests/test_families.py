@@ -123,6 +123,10 @@ def is_face_of_1(params):
     return is_face(params, {1})
 
 
+def family_report_ok_of_nothing(spec):
+    return family_report_ok(spec, {})
+
+
 # per function that takes a complex, a ZsfParams or a FamilySpec: an argument of another type
 WRONG_TYPES = [
     (faces_by_dimension, PARAMS, "SimplicialComplex"),
@@ -141,6 +145,9 @@ WRONG_TYPES = [
     (verify_family, PARAMS, "FamilySpec"),
     (family_facets, {"kind": "doubling", "rho": 3, "m": 1}, "FamilySpec"),
     (closed_form_char_poly, "doubling", "FamilySpec"),
+    (expected_rank, "doubling", "FamilySpec"),
+    (expected_char_poly_discrepancies, "doubling", "FamilySpec"),
+    (family_report_ok_of_nothing, "doubling", "FamilySpec"),
 ]
 
 

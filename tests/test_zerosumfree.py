@@ -61,7 +61,7 @@ def test_is_face_rejects_out_of_range_members():
 
 
 def test_is_face_rejects_non_int_members():
-    for members in ([1.5], [1.0], [True], ["1"], [2, 3.0]):
+    for members in ([1.5], [1.0], [True], ["1"], [2, 3.0], [1, True]):
         with pytest.raises(ValueError, match="must be ints"):
             is_face(ZsfParams(6, 3), members)
     for members in (5, [[1]]):  # not iterable; an unhashable member
