@@ -12,6 +12,7 @@ A single facet necessarily spans all supported vertices, so its subspace
 coincides with the ambient space; it is kept as a formally distinct element,
 which makes χ identically zero.  Such arrangements are flagged degenerate.
 
+The supports are closed under intersection one facet at a time, to the cap.
 The poset is built on bitsets over its elements, bit i for element i:
 
 * the holders of vertex v are the elements whose support holds v (the
@@ -41,6 +42,7 @@ from .complexes import (
     CapacityError,
     SimplicialComplex,
     _holders,
+    _sorted_sets,
     _vertices_of,
     check_complex,
 )
@@ -67,20 +69,15 @@ class IntersectionPoset:
         if facet_masks == [0]:
             raise ValueError("the void complex has no subspaces to arrange")
         ambient_mask = reduce(or_, facet_masks)
-        # closure under intersection, round by round: a support meets every
-        # facet in the round after it is first found, so every intersection
-        # of facets is reached one facet at a time
-        supports = set(facet_masks)
-        fresh = supports
-        while fresh:
+        # every intersection of the facets so far; it only grows, so a check after each facet is exact
+        supports = set()
+        for f in facet_masks:
+            supports |= {a & f for a in supports}
+            supports.add(f)
             if len(supports) > POSET_ELEMENT_CAP:
-                raise CapacityError(
-                    f"intersection closure exceeds {POSET_ELEMENT_CAP} subspaces"
-                )
-            fresh = {a & f for a in fresh for f in facet_masks} - supports
-            supports |= fresh
-        # descending size, then ascending vertex tuple (see `_sorted_sets`)
-        ordered = sorted(supports, key=lambda m: (m.bit_count(), bin(m)[:1:-1]), reverse=True)
+                raise CapacityError(f"intersection closure exceeds {POSET_ELEMENT_CAP} subspaces")
+        ordered = _sorted_sets(supports)
+        ordered.sort(key=int.bit_count, reverse=True)  # stable: each size keeps its vertex order
 
         self.n_vertices = ambient_mask.bit_count()
         self.support_masks = ordered           # element i+1 has support ordered[i]

@@ -85,8 +85,8 @@ def _encode(obj, newline: str = "\n") -> str:
     does not indent, so the shapes of the hot paths are written here with
     one join per container: a non-empty dict with string keys, a non-empty
     list of exact ints (f/h-vectors, decomposition, χ), a list of non-empty
-    lists of exact ints with one join over all the rows (facets, minimal
-    non-faces, Hasse pairs), and an exact int, True, False or None.  Every
+    lists of exact ints with one join over all the rows (facets and minimal
+    non-faces), and an exact int, True, False or None.  Every
     other value is `json.dumps`: a JSON string holds no raw newline, so
     replacing each line break with `newline` indents it exactly."""
     inner = newline + "  "
@@ -161,7 +161,7 @@ def load_cached_payload(n: int, ell: int) -> tuple[str, SimplicialComplex] | Non
     try:
         text = _cache_path(n, ell).read_text()
         entry = json.loads(text)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):  # json.loads: RecursionError when nested too deep
         return None
     if not isinstance(entry, dict) or entry.keys() != ENTRY_KEYS or text.count('"pure"') != 1:
         return None
@@ -225,11 +225,12 @@ def _poset_text(poset: IntersectionPoset) -> str:
     element rows are one `%` template, made by one join over the supports,
     that one `%` fills with the dimensions and Möbius values: no call per
     element.  Some support is not empty, as the void complex has no poset.
-    χ takes `_encode`'s int-list path and the Hasse pairs its row path."""
+    χ takes `_encode`'s int-list path, and each Hasse pair one `%` on `pair`."""
     masks = poset.support_masks
     empty = masks[-1] == 0  # the empty support is the smallest, so last
     element = '{\n        "dim": %d,\n        "mobius": %d,\n        "support": '
     between = "\n      },\n      " + element
+    pair = "[\n        %d,\n        %d\n      ]"
     supports = map(",\n          ".join, map(map, repeat(str), map(_vertices_of, masks[:-1] if empty else masks)))
     rows = "".join((
         element, '"ambient"', between, "[\n          ",
@@ -240,8 +241,8 @@ def _poset_text(poset: IntersectionPoset) -> str:
         '{\n    "char_poly": ', _encode(poset.char_poly, "\n    "),
         ',\n    "elements": [\n      ', rows,
         '\n      }\n    ],\n    "graded": ', "true" if poset.graded else "false",
-        ',\n    "hasse": ', _encode(list(map(list, poset.covers)), "\n    "),
-        ',\n    "rank": ', "null" if poset.rank is None else str(poset.rank), "\n  }",
+        ',\n    "hasse": [\n      ', ",\n      ".join(map(pair.__mod__, poset.covers)),
+        '\n    ],\n    "rank": ', "null" if poset.rank is None else str(poset.rank), "\n  }",
     ))
 
 

@@ -86,8 +86,10 @@ def _sorted_sets(masks) -> list[int]:
 
     Of two distinct sets of one size, the one holding the lowest bit of
     a ^ b has the smaller vertex tuple, and that bit is the first place
-    where their reversed binary strings differ."""
-    return sorted(masks, key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+    where their reversed binary strings differ; a stable sort by size follows."""
+    ordered = sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
+    ordered.sort(key=int.bit_count)
+    return ordered
 
 
 class SimplicialComplex:

@@ -80,6 +80,19 @@ def test_closure_capacity_cap(monkeypatch):
         build_poset(build_complex(ZsfParams(9, 8)))
 
 
+def test_closure_cap_admits_its_bound_and_refuses_one_more(monkeypatch):
+    # the pairs the warm-cache benchmark runs `compute --arrangement` on
+    pairs = [(n, ell) for n in range(8, 17) for ell in range(1, n) if n <= 12 or ell >= 6]
+    complexes = [build_complex(ZsfParams(n, ell)) for n, ell in pairs]
+    sizes = [len(build_poset(c).support_masks) for c in complexes]
+    for c, size in zip(complexes, sizes):
+        monkeypatch.setattr(arr, "POSET_ELEMENT_CAP", size)
+        assert len(build_poset(c).support_masks) == size
+        monkeypatch.setattr(arr, "POSET_ELEMENT_CAP", size - 1)
+        with pytest.raises(CapacityError, match=rf"^intersection closure exceeds {size - 1} subspaces$"):
+            build_poset(c)
+
+
 def strictly_below(p, i, j) -> bool:
     """The poset's order from its definition: the ambient space (element 0)
     lies below every other element, and a support below its proper subsets."""

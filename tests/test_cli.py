@@ -254,6 +254,8 @@ def test_corrupt_and_mismatched_cache_entries_are_ignored(capsys, tmp_cache):
         {"n": 12, "ell": 6},
         {"n": 12, "ell": 6, "facets": [[1, 5, 9]]},
         [],
+        # nested past the JSON parser's recursion limit: RecursionError, not ValueError
+        pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
     ],
 )
 def test_malformed_cache_entry_is_recomputed(capsys, tmp_cache, entry):
@@ -261,12 +263,18 @@ def test_malformed_cache_entry_is_recomputed(capsys, tmp_cache, entry):
     assert code == 0
     path = tmp_cache / "complex-n12-l6-v1.json"
     tmp_cache.mkdir(parents=True)
-    path.write_text(json.dumps(entry))
+    text = entry if isinstance(entry, str) else json.dumps(entry)
+    path.write_text(text)
 
     code, out, err = run_cli(capsys, "compute", "12", "6")
     assert code == 0, err
     assert out == reference
     assert path.read_text() + "\n" == reference  # rewritten
+
+    path.write_text(text)
+    expected = run_cli(capsys, "compute", "12", "6", "--arrangement", "--no-cache")
+    assert run_cli(capsys, "compute", "12", "6", "--arrangement") == expected
+    assert path.read_text() + "\n" == reference
 
 
 def _empty_complex(entry):

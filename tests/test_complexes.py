@@ -11,6 +11,7 @@ from conftest import corpus_complexes, decoded, hand_fixtures
 from zsumfree.complexes import (
     SimplicialComplex,
     _mask_of,
+    _sorted_sets,
     _vertices_of,
     alexander_dual,
     decompose_disjoint_simplices,
@@ -432,3 +433,12 @@ def test_minimal_nonfaces_of_complex_against_brute_force():
         ]
         minimal = {s for s in nonfaces if not any(t < s for t in nonfaces)}
         assert set(decoded(minimal_nonfaces_of_complex(c))) == minimal, c.facets
+
+
+def test_sorted_sets_is_by_size_then_vertex_tuple():
+    rng = random.Random(23)
+    for width in (1, 3, 8, 20, 40, 64):
+        for _ in range(25):
+            # the AND of two draws holds about a quarter of the bits, so sizes tie often
+            ms = list({rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(0, 300))})
+            assert _sorted_sets(ms) == sorted(ms, key=lambda m: (m.bit_count(), _vertices_of(m))), ms
