@@ -17,6 +17,9 @@ Exit codes: 0 ok, 2 invalid parameters, 3 oracle or family mismatch,
 4 capacity exceeded, 5 conjecture counterexample found, 141 stdout closed
 before the output was written (128 + SIGPIPE).
 
+JSON output is the text of `json.dumps(..., indent=2, sort_keys=True)`: `compute`
+writes it from vertex masks (`_COMPLEX`, `_poset_text`), the rest call `json.dumps`.
+
 Artifacts are cached under $ZSF_CACHE_DIR (default ~/.cache/zsumfree), one
 file per (n, ℓ) whose name carries the artifact version.  An entry is the
 text `compute n ℓ` prints, without its final newline: a hit that passes the
@@ -40,11 +43,11 @@ import os
 import sys
 import tempfile
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .arrangements import IntersectionPoset, build_poset
 from .complexes import (
+    _BYTE_STRINGS,
     CapacityError,
     SimplicialComplex,
     _mask_of,
@@ -66,7 +69,7 @@ from .zerosumfree import (
 )
 
 ARTIFACT_VERSION = "1"
-# the keys `_complex_payload` writes; a cache entry with any other set is a miss
+# the keys of `_COMPLEX`, the text `compute` prints; a cache entry with any other set is a miss
 ENTRY_KEYS = {"n", "ell", "facets", "min_nonfaces", "f_vector", "h_vector", "pure", "connected", "decomposition"}
 # `scan`'s range flags and their defaults; `SCANNERS` names the flag each scanner takes
 SCAN_DEFAULTS = {"p_max": 11, "n_max": 19, "max_sum": 30}
@@ -77,39 +80,6 @@ EXIT_MISMATCH = 3
 EXIT_CAPACITY = 4
 EXIT_COUNTEREXAMPLE = 5
 EXIT_BROKEN_PIPE = 141
-
-
-def _encode(obj, newline: str = "\n") -> str:
-    """The text of `json.dumps(obj, indent=2, sort_keys=True)`; `newline` is
-    the line break and indent that `obj` itself sits at.  CPython's C encoder
-    does not indent, so the shapes of the hot paths are written here with
-    one join per container: a non-empty dict with string keys, a non-empty
-    list of exact ints (f/h-vectors, decomposition, χ), a list of non-empty
-    lists of exact ints with one join over all the rows (facets and minimal
-    non-faces), and an exact int, True, False or None.  Every
-    other value is `json.dumps`: a JSON string holds no raw newline, so
-    replacing each line break with `newline` indents it exactly."""
-    inner = newline + "  "
-    if isinstance(obj, dict) and obj:
-        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, list) and obj:
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            return "[" + inner + ("," + inner).join(map(str, obj)) + newline + "]"
-        if kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            deep = inner + "  "
-            text = (inner + "]," + inner + "[" + deep).join(map(("," + deep).join, map(map, repeat(str), obj)))
-            return "[" + inner + "[" + deep + text + inner + "]" + newline + "]"
-    elif type(obj) is int:
-        return str(obj)
-    elif obj is True:
-        return "true"
-    elif obj is False:
-        return "false"
-    elif obj is None:
-        return "null"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +120,7 @@ def load_cached_payload(n: int, ell: int) -> tuple[str, SimplicialComplex] | Non
     """The cached entry for (n, ℓ) as (its text, the complex of its facets),
     or None when the entry is missing or malformed; None means recompute.
     The entry is the text `compute n ℓ` prints, so it must hold exactly the
-    keys `_complex_payload` writes: `n` and `ell` the ints asked for,
+    keys `compute` prints (`ENTRY_KEYS`): `n` and `ell` the ints asked for,
     `facets` and `min_nonfaces` lists of lists of ints in 0..n-1, `f_vector`
     and `h_vector` lists of ints, `pure` and `connected` bools and
     `decomposition` null or a list of ints.  The facets must make a complex
@@ -202,43 +172,68 @@ def store_payload(n: int, ell: int, text: str) -> None:
 # commands
 
 
-def _complex_payload(params: ZsfParams, c: SimplicialComplex) -> dict:
+# `json.dumps(..., indent=2, sort_keys=True)` of `compute`'s output, keys in sorted order
+_COMPLEX = (
+    '{\n  "connected": %s,\n  "decomposition": %s,\n  "ell": %d,\n  "f_vector": %s,\n  "facets": %s,'
+    '\n  "h_vector": %s,\n  "min_nonfaces": %s,\n  "n": %d,\n  "pure": %s\n}'
+)
+
+
+def _ints(values, newline: str) -> str:
+    """The text of `json.dumps(values, indent=2)` for a list of ints or None,
+    each line break followed by `newline`'s indent: `[]` and `null` included."""
+    if values is None:
+        return "null"
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(str, values)) + newline + "]"
+
+
+def _rows(masks, newline: str) -> str:
+    """The text of `json.dumps([list(_vertices_of(m)) for m in masks], indent=2)`,
+    each line break followed by `newline`'s indent: one join over the rows'
+    vertex strings, read off `_BYTE_STRINGS`.  A 0 mask is the row `[]`."""
+    if not masks:
+        return "[]"
+    inner, deep = newline + "  ", newline + "    "
+    rows = map(("," + deep).join, map(_vertices_of, masks, repeat(_BYTE_STRINGS)))
+    text = "[" + inner + "[" + deep + (inner + "]," + inner + "[" + deep).join(rows) + inner + "]" + newline + "]"
+    return text.replace("[" + deep + inner + "]", "[]") if 0 in masks else text
+
+
+def _complex_text(params: ZsfParams, c: SimplicialComplex) -> str:
+    """The text `compute` prints for the complex `c` of `params`, without its final newline."""
     mnf = minimal_nonfaces(params)
     f = _f_vector(params, mnf, c)
-    decomposition = decompose_disjoint_simplices(c)
-    return {
-        "n": params.n,
-        "ell": params.ell,
-        "facets": [list(_vertices_of(m)) for m in c._facet_masks],
-        "min_nonfaces": [list(_vertices_of(m)) for m in mnf],
-        "f_vector": f,
-        "h_vector": f_to_h(f),
-        "pure": is_pure(c),
-        "connected": is_connected(c),
-        "decomposition": list(decomposition) if decomposition is not None else None,
-    }
+    return _COMPLEX % (
+        "true" if is_connected(c) else "false", _ints(decompose_disjoint_simplices(c), "\n  "), params.ell,
+        _ints(f, "\n  "), _rows(c._facet_masks, "\n  "), _ints(f_to_h(f), "\n  "), _rows(mnf, "\n  "),
+        params.n, "true" if is_pure(c) else "false",
+    )
 
 
 def _poset_text(poset: IntersectionPoset) -> str:
-    """The text of `_encode(poset.to_json(), "\n  ")`, the poset's value in
-    the output of `compute --arrangement`, read off the poset's fields.  The
-    element rows are one `%` template, made by one join over the supports,
+    """The text of `json.dumps(poset.to_json(), indent=2, sort_keys=True)`
+    indented by two spaces, the poset's value in the output of
+    `compute --arrangement`, read off the poset's fields.  The element rows
+    are one `%` template, made by one join over the supports' vertex strings,
     that one `%` fills with the dimensions and Möbius values: no call per
     element.  Some support is not empty, as the void complex has no poset.
-    χ takes `_encode`'s int-list path, and each Hasse pair one `%` on `pair`."""
+    χ is written by `_ints`, and each Hasse pair by one `%` on `pair`."""
     masks = poset.support_masks
     empty = masks[-1] == 0  # the empty support is the smallest, so last
     element = '{\n        "dim": %d,\n        "mobius": %d,\n        "support": '
     between = "\n      },\n      " + element
     pair = "[\n        %d,\n        %d\n      ]"
-    supports = map(",\n          ".join, map(map, repeat(str), map(_vertices_of, masks[:-1] if empty else masks)))
+    supports = map(",\n          ".join, map(_vertices_of, masks[:-1] if empty else masks, repeat(_BYTE_STRINGS)))
     rows = "".join((
         element, '"ambient"', between, "[\n          ",
         ("\n        ]" + between + "[\n          ").join(supports), "\n        ]",
         between + "[]" if empty else "",
     )) % tuple(chain.from_iterable(zip(chain([poset.n_vertices], map(int.bit_count, masks)), poset.mobius)))
     return "".join((
-        '{\n    "char_poly": ', _encode(poset.char_poly, "\n    "),
+        '{\n    "char_poly": ', _ints(poset.char_poly, "\n    "),
         ',\n    "elements": [\n      ', rows,
         '\n      }\n    ],\n    "graded": ', "true" if poset.graded else "false",
         ',\n    "hasse": [\n      ', ",\n      ".join(map(pair.__mod__, poset.covers)),
@@ -258,7 +253,7 @@ def cmd_compute(args) -> int:
         text, c = entry
     else:
         c = build_complex(params)
-        text = _encode(_complex_payload(params, c))
+        text = _complex_text(params, c)
         if use_cache:
             try:
                 store_payload(params.n, params.ell, text)
@@ -273,7 +268,7 @@ def cmd_compute(args) -> int:
         start = text.index("{") + 1
         pure = text.index('"pure"')
         text = "".join((
-            text[:start], '\n  "char_poly": ', _encode(poset.char_poly, "\n  "), ",",
+            text[:start], '\n  "char_poly": ', _ints(poset.char_poly, "\n  "), ",",
             text[start:pure], '"poset": ', _poset_text(poset), ",\n  ", text[pure:],
         ))
     agrees = not args.oracle or brute_force_complex(params) == c
@@ -296,7 +291,7 @@ def _family_spec(args) -> FamilySpec:
 def cmd_family(args) -> int:
     spec = _family_spec(args)
     report = verify_family(spec, oracle=args.oracle)
-    print(_encode(report))
+    print(json.dumps(report, indent=2, sort_keys=True))
     if not family_report_ok(spec, report):
         print("family verification found an unexpected mismatch", file=sys.stderr)
         return EXIT_MISMATCH
@@ -317,7 +312,7 @@ def cmd_scan(args) -> int:
         report = scanner(value, include_repeated=True)
     else:
         report = scanner(value)
-    print(_encode(report.to_json()))
+    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
 
 
@@ -343,7 +338,7 @@ def cmd_table(args) -> int:
         raise CapacityError(f"table supports n_max up to {N_MAX_CAP}, got {args.n_max}")
     rows = table_rows(args.n_max)
     if args.json:
-        print(_encode(rows))
+        print(json.dumps(rows, indent=2, sort_keys=True))
     else:
         for row in rows:
             print(row)

@@ -41,23 +41,27 @@ def _check_vertices(vertices) -> None:
         raise ValueError(f"vertices must be ints, got {names}")
 
 
-def _byte_vertices(j: int) -> tuple[tuple[int, ...], ...]:
-    """Entry b: the vertices 8j + i for the set bits i of byte b, ascending;
-    each bit doubles the table, so it costs one tuple per entry."""
+def _byte_vertices(j: int, kind=int) -> tuple[tuple, ...]:
+    """Entry b: the vertices 8j + i for the set bits i of byte b, ascending,
+    each as `kind(v)`; each bit doubles the table, so it costs one tuple per
+    entry and every entry shares the same 8 vertex objects."""
     table = [()]
-    for v in range(8 * j, 8 * j + 8):
+    for v in map(kind, range(8 * j, 8 * j + 8)):
         table += [t + (v,) for t in table]
     return tuple(table)
 
 
 _BYTE_VERTICES = tuple(map(_byte_vertices, range(MAX_VERTICES // 8)))
+# the same vertices as decimal strings, the text that JSON rows are joined from
+_BYTE_STRINGS = tuple(_byte_vertices(j, str) for j in range(MAX_VERTICES // 8))
 
 
-def _vertices_of(mask: int) -> tuple[int, ...]:
-    """The set bits of `mask`, ascending; 0 ≤ mask < 2^MAX_VERTICES (else
+def _vertices_of(mask: int, t=_BYTE_VERTICES) -> tuple:
+    """The set bits of `mask`, ascending, as ints, or as their decimal
+    strings when `t` is `_BYTE_STRINGS`; 0 ≤ mask < 2^MAX_VERTICES (else
     OverflowError).  One table lookup per byte, unrolled (faster than a loop)
     over the MAX_VERTICES // 8 = 8 bytes: a wider bound must widen it."""
-    t, b = _BYTE_VERTICES, mask.to_bytes(8, "little")
+    b = mask.to_bytes(8, "little")
     low = t[0][b[0]] + t[1][b[1]] + t[2][b[2]] + t[3][b[3]]
     return low + t[4][b[4]] + t[5][b[5]] + t[6][b[6]] + t[7][b[7]] if mask >> 32 else low
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,11 +17,21 @@ import zsumfree.cli as cli
 import zsumfree.conjectures as conj
 import zsumfree.families as fam
 from zsumfree.cli import main, table_rows
-from zsumfree.complexes import MAX_VERTICES, CapacityError, SimplicialComplex
+from zsumfree.complexes import (
+    MAX_VERTICES,
+    CapacityError,
+    SimplicialComplex,
+    decompose_disjoint_simplices,
+    f_to_h,
+    faces_by_dimension,
+    is_connected,
+    is_pure,
+)
 from zsumfree.conjectures import ScanReport
-from zsumfree.zerosumfree import ZsfParams, build_complex
+from zsumfree.zerosumfree import ZsfParams, build_complex, minimal_nonfaces
 
 from conftest import corpus_complexes
+from grid_digests import GRID_PATH, grid, outcome
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +122,15 @@ def test_compute_single_facet_top_of_range(capsys):
     assert blob["facets"] == [list(range(1, 64))]
     assert blob["min_nonfaces"] == [[0]]
     assert blob["decomposition"] == [63]
+
+
+@pytest.mark.parametrize("n, ell, flags", [
+    (64, 1, []), (64, 32, []), (40, 20, []), (33, 32, []), (40, 20, ["--arrangement"]),
+])
+def test_compute_past_32_vertices_is_byte_exact(capsys, n, ell, flags):
+    # vertices past 31 are read off the upper four bytes of the vertex tables
+    code, out, err = run_cli(capsys, "compute", str(n), str(ell), *flags, "--no-cache")
+    assert (code, out, err) == (0, _reference(n, ell, arrangement=bool(flags)), "")
 
 
 # ---------------------------------------------------------------------------
@@ -427,19 +447,33 @@ def test_cached_poset_is_a_miss(capsys, tmp_cache, poset, flags):
     assert path.read_text() + "\n" == plain  # rewritten
 
 
-def _arranged(n, ell):
-    """The `--arrangement` stdout of Δ_{n,ℓ} as `json.dumps` writes it."""
+def _decoded(masks, n):
+    return [[v for v in range(n) if m >> v & 1] for m in masks]
+
+
+def _reference(n, ell, arrangement=False):
+    """The stdout of `compute n ℓ` (with `--arrangement`) as `json.dumps`
+    writes it, from library calls and with the masks decoded here."""
     params = ZsfParams(n, ell)
     c = build_complex(params)
-    poset = arr.build_poset(c).to_json()
-    out = {**cli._complex_payload(params, c), "poset": poset, "char_poly": poset["char_poly"]}
+    f = faces_by_dimension(c)
+    decomposition = decompose_disjoint_simplices(c)
+    out = {
+        "n": n, "ell": ell,
+        "facets": _decoded(c._facet_masks, n), "min_nonfaces": _decoded(minimal_nonfaces(params), n),
+        "f_vector": f, "h_vector": f_to_h(f), "pure": is_pure(c), "connected": is_connected(c),
+        "decomposition": None if decomposition is None else list(decomposition),
+    }
+    if arrangement:
+        poset = arr.build_poset(c).to_json()
+        out.update(poset=poset, char_poly=poset["char_poly"])
     return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
 def test_arrangement_output_is_the_dump_of_payload_and_poset(capsys, tmp_cache):
     for n in range(2, 13):
         for ell in range(1, n):
-            expected = _arranged(n, ell)
+            expected = _reference(n, ell, arrangement=True)
             argv = ["compute", str(n), str(ell), "--arrangement"]
             for flags in (["--no-cache"], [], []):  # no cache, a miss, a hit
                 assert run_cli(capsys, *argv, *flags) == (0, expected, ""), (n, ell, flags)
@@ -825,16 +859,7 @@ def test_table_capacity(capsys):
 # output writer and parser reuse
 
 
-def test_dump_matches_json_dumps(capsys, monkeypatch):
-    seen = []
-    dump = cli._encode
-
-    def record(obj, newline="\n"):
-        if newline == "\n":  # a whole output, not a nested value
-            seen.append(obj)
-        return dump(obj, newline)
-
-    monkeypatch.setattr(cli, "_encode", record)
+def test_json_outputs_match_json_dumps(capsys):
     commands = [
         ["compute", str(n), str(ell), "--arrangement", "--no-cache"]
         for n in range(2, 13)
@@ -851,22 +876,41 @@ def test_dump_matches_json_dumps(capsys, monkeypatch):
         ["scan", "log-concavity", "--max-sum", "8", "--include-repeated"],
         ["table", "--n-max", "6", "--json"],
     ]
+    notes = []
     for argv in commands:
-        assert main(argv) == 0, argv
-    capsys.readouterr()
-    assert len(seen) == len(commands)
-    assert any("ö" in note for obj in seen if "notes" in obj for note in obj["notes"])
-    seen += [
-        [], {}, [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]},
-        True, False, None, [True, False, None], -7, [0, -1, 2**70], 1.5, [-0.25, 1e300],
-        'say "hi" \\ Möbius ∅\n\t', {"ö": 'a"b', "a\\": -3, "": None},
-        (1, (2, 3)), [[1, 2], [3]],
-        # lists of int rows take the writer's row path; the rest must not
-        [[], [1]], [[True]], [[1], [2.5]], [(1, 2), (3,)], [[1, 2**70], [-3]],
-        [[1], "a"], {"a": [[0]], "b": [[]]},
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "compute":
+            expected = _reference(int(argv[1]), int(argv[2]), arrangement=True)
+        elif argv[0] == "family":
+            fields = {flag[2:]: int(value) for flag, value in zip(argv[2::2], argv[3::2])}
+            expected = fam.verify_family(fam.FamilySpec(argv[1], **fields))
+            notes += expected.get("notes", [])
+        elif argv[0] == "scan":
+            scanner = conj.SCANNERS[argv[1]][0]
+            report = scanner(int(argv[3]), **({"include_repeated": True} if len(argv) > 4 else {}))
+            # the one field that differs between runs is the scan's wall time
+            expected = dataclasses.replace(report, elapsed_ms=json.loads(out)["elapsed_ms"]).to_json()
+        else:
+            expected = table_rows(int(argv[2]))
+        if argv[0] != "compute":
+            expected = json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert out == expected, argv
+    assert any("ö" in note for note in notes)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\n  ", "\n    "])
+def test_row_writers_match_json_dumps(newline):
+    every_byte = sum(1 << 8 * j + j for j in range(8))
+    mask_lists = [
+        [], [0], [1], [1 << 63], [0, 1], [1, 0, 1 << 63], [every_byte], [(1 << 64) - 1, 0xFF << 32, 1 << 32],
+        [every_byte, 0x8040201008040201, 0x0102040810204080, (1 << 64) - 1 - every_byte],
     ]
-    for obj in seen:
-        assert dump(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
+    for masks in mask_lists:
+        expected = json.dumps(_decoded(masks, MAX_VERTICES), indent=2).replace("\n", newline)
+        assert cli._rows(masks, newline) == expected, masks
+    for values in [None, [], [0], [1, -2, 2**70], [1, 0, 0, -2, 0, 0, 1]]:
+        assert cli._ints(values, newline) == json.dumps(values, indent=2).replace("\n", newline), values
 
 
 def test_stdout_matches_the_benchmark_digests(capsys):
@@ -882,6 +926,14 @@ def test_stdout_matches_the_benchmark_digests(capsys):
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != expected:
             differ.append(key)
     assert digests and differ == []
+
+
+def test_compute_matches_the_grid_digests():
+    # exit code, stdout and stderr of every compute op in tests/grid_digests.json
+    # (record them with tests/grid_digests.py), the capacity errors included
+    digests = json.loads(GRID_PATH.read_text())
+    differ = [op for op, expected in digests.items() if outcome(op) != expected]
+    assert len(digests) == len(grid()) and differ == []
 
 
 def test_parser_reuse_leaks_no_flags(capsys):
