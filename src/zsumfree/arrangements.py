@@ -44,9 +44,8 @@ from .complexes import (
     _holders,
     _sorted_sets,
     _vertices_of,
-    check_complex,
 )
-from .partitions import check_ints
+from .partitions import check_ints, check_type
 
 POSET_ELEMENT_CAP = 600
 
@@ -64,7 +63,7 @@ class IntersectionPoset:
     """
 
     def __init__(self, c: SimplicialComplex):
-        check_complex(c)
+        check_type(c, SimplicialComplex)
         facet_masks = c._facet_masks
         if facet_masks == [0]:
             raise ValueError("the void complex has no subspaces to arrange")

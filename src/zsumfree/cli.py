@@ -14,8 +14,9 @@ Commands:
 * cache-clear     — delete cached artifacts.
 
 Exit codes: 0 ok, 2 invalid parameters, 3 oracle or family mismatch,
-4 capacity exceeded, 5 conjecture counterexample found, 141 stdout closed
-before the output was written (128 + SIGPIPE).
+4 capacity exceeded (a size cap, or the interpreter out of memory),
+5 conjecture counterexample found, 141 stdout closed before the output was
+written (128 + SIGPIPE).
 
 JSON output is the text of `json.dumps(..., indent=2, sort_keys=True)`: `compute`
 writes it from vertex masks (`_COMPLEX`, `_poset_text`), the rest call `json.dumps`.
@@ -69,8 +70,13 @@ from .zerosumfree import (
 )
 
 ARTIFACT_VERSION = "1"
+# `json.dumps(..., indent=2, sort_keys=True)` of `compute`'s output, keys in sorted order
+_COMPLEX = (
+    '{\n  "connected": %s,\n  "decomposition": %s,\n  "ell": %d,\n  "f_vector": %s,\n  "facets": %s,'
+    '\n  "h_vector": %s,\n  "min_nonfaces": %s,\n  "n": %d,\n  "pure": %s\n}'
+)
 # the keys of `_COMPLEX`, the text `compute` prints; a cache entry with any other set is a miss
-ENTRY_KEYS = {"n", "ell", "facets", "min_nonfaces", "f_vector", "h_vector", "pure", "connected", "decomposition"}
+ENTRY_KEYS = set(_COMPLEX.split('"')[1::2])
 # `scan`'s range flags and their defaults; `SCANNERS` names the flag each scanner takes
 SCAN_DEFAULTS = {"p_max": 11, "n_max": 19, "max_sum": 30}
 
@@ -172,13 +178,6 @@ def store_payload(n: int, ell: int, text: str) -> None:
 # commands
 
 
-# `json.dumps(..., indent=2, sort_keys=True)` of `compute`'s output, keys in sorted order
-_COMPLEX = (
-    '{\n  "connected": %s,\n  "decomposition": %s,\n  "ell": %d,\n  "f_vector": %s,\n  "facets": %s,'
-    '\n  "h_vector": %s,\n  "min_nonfaces": %s,\n  "n": %d,\n  "pure": %s\n}'
-)
-
-
 def _ints(values, newline: str) -> str:
     """The text of `json.dumps(values, indent=2)` for a list of ints or None,
     each line break followed by `newline`'s indent: `[]` and `null` included."""
@@ -202,10 +201,9 @@ def _rows(masks, newline: str) -> str:
     return text.replace("[" + deep + inner + "]", "[]") if 0 in masks else text
 
 
-def _complex_text(params: ZsfParams, c: SimplicialComplex) -> str:
-    """The text `compute` prints for the complex `c` of `params`, without its final newline."""
-    mnf = minimal_nonfaces(params)
-    f = _f_vector(params, mnf, c)
+def _complex_text(params: ZsfParams, c: SimplicialComplex, mnf: list[int], f: list[int]) -> str:
+    """The text `compute` prints for the complex `c` of `params`, its minimal
+    non-face masks `mnf` and its f-vector `f`, without its final newline."""
     return _COMPLEX % (
         "true" if is_connected(c) else "false", _ints(decompose_disjoint_simplices(c), "\n  "), params.ell,
         _ints(f, "\n  "), _rows(c._facet_masks, "\n  "), _ints(f_to_h(f), "\n  "), _rows(mnf, "\n  "),
@@ -253,7 +251,8 @@ def cmd_compute(args) -> int:
         text, c = entry
     else:
         c = build_complex(params)
-        text = _complex_text(params, c)
+        mnf = minimal_nonfaces(params)
+        text = _complex_text(params, c, mnf, _f_vector(params, mnf, c))
         if use_cache:
             try:
                 store_payload(params.n, params.ell, text)
@@ -334,6 +333,8 @@ def table_rows(n_max: int) -> list[str]:
 
 
 def cmd_table(args) -> int:
+    if args.n_max < 2:
+        raise ValueError(f"table needs n_max at least 2, got {args.n_max}")
     if args.n_max > N_MAX_CAP:
         raise CapacityError(f"table supports n_max up to {N_MAX_CAP}, got {args.n_max}")
     rows = table_rows(args.n_max)
@@ -384,11 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="verify a closed-form facet family")
     p.add_argument("kind", choices=list(FAMILY_FIELDS))
-    p.add_argument("--rho", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--s", type=int)
+    for name in dict.fromkeys(chain.from_iterable(FAMILY_FIELDS.values())):
+        p.add_argument("--" + name, type=int)
     oracle = p.add_mutually_exclusive_group()
     oracle.add_argument("--oracle", action="store_const", const=True, help="force the brute-force cross-check")
     oracle.add_argument("--no-oracle", dest="oracle", action="store_const", const=False,
@@ -430,6 +428,9 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:
+        print("capacity exceeded: out of memory", file=sys.stderr)
         return EXIT_CAPACITY
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

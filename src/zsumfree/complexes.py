@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from itertools import chain, zip_longest
 from operator import and_, or_
 
-from .partitions import binomial, check_partition, conjugate
+from .partitions import binomial, check_partition, check_type, conjugate
 
 MAX_VERTICES = 64  # the width of a vertex mask: vertices are 0..MAX_VERTICES-1
 _VERTEX_RANGE = f"vertices must be integers in 0..{MAX_VERTICES - 1}"
@@ -187,12 +187,6 @@ class SimplicialComplex:
         return f"SimplicialComplex(ground=0..{self._ground_mask.bit_length() - 1}, facets=[{facets}])"
 
 
-def check_complex(c) -> None:
-    """Raise ValueError unless `c` is a SimplicialComplex."""
-    if not isinstance(c, SimplicialComplex):
-        raise ValueError(f"expected a SimplicialComplex, got {type(c).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # face counting
 
@@ -213,7 +207,7 @@ def faces_by_dimension(c: SimplicialComplex) -> list[int]:
     the facets holding each vertex of g meet; those holders are bitsets over
     the facets without v (`_holders`).
     """
-    check_complex(c)
+    check_type(c, SimplicialComplex)
     memo: dict[frozenset, list[int]] = {}
     width = c._ground_mask.bit_length()
 
@@ -245,7 +239,9 @@ def faces_by_dimension(c: SimplicialComplex) -> list[int]:
         memo[key] = out
         return out
 
-    return count(c._facet_masks)
+    f = count(c._facet_masks)
+    del count  # `count` refers to itself, a reference cycle that holds `memo`
+    return f
 
 
 def f_to_h(f: list[int]) -> list[int]:
@@ -307,7 +303,7 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
 def minimal_nonfaces_of_complex(c: SimplicialComplex) -> list[int]:
     """Inclusion-minimal non-faces, as vertex masks in the order of
     `minimal_nonfaces`: minimal sets hitting every facet complement."""
-    check_complex(c)
+    check_type(c, SimplicialComplex)
     edges = [c._ground_mask ^ m for m in c._facet_masks]
     if any(e == 0 for e in edges):
         return []
@@ -332,13 +328,13 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
 
 def is_pure(c: SimplicialComplex) -> bool:
     """True when every facet has the same dimension."""
-    check_complex(c)
+    check_type(c, SimplicialComplex)
     return len(set(map(int.bit_count, c._facet_masks))) <= 1
 
 
 def is_connected(c: SimplicialComplex) -> bool:
     """Connectivity of the 1-skeleton on supported vertices (≤ 1 vertex counts as connected)."""
-    check_complex(c)
+    check_type(c, SimplicialComplex)
     components: list[int] = []  # vertex masks; each facet absorbs the ones it meets
     for f in c._facet_masks:
         apart = []
@@ -353,7 +349,7 @@ def is_connected(c: SimplicialComplex) -> bool:
 
 def isolated_vertices(c: SimplicialComplex) -> list[int]:
     """Vertices lying in no edge, i.e. vertices that are themselves facets."""
-    check_complex(c)
+    check_type(c, SimplicialComplex)
     return sorted(m.bit_length() - 1 for m in c._facet_masks if m and not m & (m - 1))
 
 
@@ -363,7 +359,7 @@ def decompose_disjoint_simplices(c: SimplicialComplex):
     A complex with pairwise disjoint facets is the disjoint union of simplices
     joined at the empty face.  The void complex decomposes as ().
     """
-    check_complex(c)
+    check_type(c, SimplicialComplex)
     union = 0
     for m in c._facet_masks:
         if union & m:

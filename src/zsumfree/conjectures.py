@@ -61,8 +61,8 @@ def _scan(conjecture: str, rng: dict, cap: int, instances, check) -> ScanReport:
     """Run `check` on every instance of `instances()` and report.
 
     The first value of `rng` is refused past `cap` before any instance is
-    made.  `check(instance)` yields that instance's counterexamples, and the
-    report counts the instances.
+    made, and a range with no instance is refused.  `check(instance)` yields
+    that instance's counterexamples, and the report counts the instances.
     """
     flag, value = next(iter(rng.items()))
     check_ints(**{flag: value})
@@ -70,6 +70,8 @@ def _scan(conjecture: str, rng: dict, cap: int, instances, check) -> ScanReport:
         raise CapacityError(f"{flag} must be at most {cap}, got {value}")
     start = time.perf_counter()
     todo = instances()
+    if not todo:
+        raise ValueError(f"{flag} = {value} leaves no instance to check")
     counterexamples = [ce for instance in todo for ce in check(instance)]
     elapsed = int(round((time.perf_counter() - start) * 1000))
     return ScanReport(conjecture, rng, len(todo), counterexamples, elapsed)

@@ -32,7 +32,7 @@ from .complexes import (
     is_connected,
     is_pure,
 )
-from .partitions import check_ints
+from .partitions import check_ints, check_type
 from .zerosumfree import (
     BRUTE_FORCE_CAP,
     BUILD_CAP,
@@ -155,15 +155,9 @@ class FamilySpec:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def check_spec(spec) -> None:
-    """Raise ValueError unless `spec` is a FamilySpec."""
-    if not isinstance(spec, FamilySpec):
-        raise ValueError(f"expected a FamilySpec, got {type(spec).__name__}")
-
-
 def family_facets(spec: FamilySpec) -> SimplicialComplex:
     """The closed-form facets of `spec` (see the module docstring) on the ground set 0..n-1."""
-    check_spec(spec)
+    check_type(spec, FamilySpec)
     n = spec.n
     if spec.kind == "doubling":
         modulus = 2 ** (spec.m + 1)
@@ -188,7 +182,7 @@ def closed_form_char_poly(spec: FamilySpec) -> list[int]:
     `expected_char_poly_discrepancies` for the degrees where this form is
     known to deviate from the Möbius computation.
     """
-    check_spec(spec)
+    check_type(spec, FamilySpec)
     if spec.kind == "doubling":
         return disjoint_union_char_poly(spec.ell, (spec.rho,) * 2**spec.m)
     if spec.kind == "prime-power":
@@ -225,7 +219,7 @@ def expected_char_poly_discrepancies(spec: FamilySpec) -> tuple[int, ...]:
     * arms-legs s=3 — degrees 1 and 0: the leg/arm singleton intersections
       push μ(0̂,1̂) to -(p-1) and the degree-1 coefficient to 3(p-1).
     """
-    check_spec(spec)
+    check_type(spec, FamilySpec)
     if spec.kind == "doubling":
         return ()
     if spec.kind == "prime-power":
@@ -238,7 +232,7 @@ def expected_char_poly_discrepancies(spec: FamilySpec) -> tuple[int, ...]:
 def expected_rank(spec: FamilySpec) -> int:
     """Poset rank the family is expected to have (1 for a lone facet), from
     the closed-form facet counts: 2^m, e(p-1), and at least the p-1 ≥ 2 arms."""
-    check_spec(spec)
+    check_type(spec, FamilySpec)
     if spec.kind == "arms-legs":
         return 3 if spec.s in (1, 3) else 2
     facets = 2**spec.m if spec.kind == "doubling" else spec.e * (spec.p - 1)
@@ -252,7 +246,7 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
     True forces it (capacity error beyond 24, raised before any build),
     False skips it.
     """
-    check_spec(spec)
+    check_type(spec, FamilySpec)
     if oracle:
         check_oracle_capacity(spec.n)
     params = ZsfParams(spec.n, spec.ell)
@@ -313,7 +307,7 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
 
 def family_report_ok(spec: FamilySpec, report: dict) -> bool:
     """True when facets match and every arrangement claim holds or is an expected deviation."""
-    check_spec(spec)
+    check_type(spec, FamilySpec)
     return (
         report["facets_match"]
         and report["oracle_match"] is not False

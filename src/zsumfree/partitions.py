@@ -18,6 +18,12 @@ def check_ints(**values) -> None:
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def check_type(value, cls: type) -> None:
+    """Raise ValueError unless `value` is a `cls`."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
 def check_partition(parts) -> tuple[int, ...]:
     """Validate a partition given as an iterable of ints; return it as a tuple."""
     parts = tuple(parts)

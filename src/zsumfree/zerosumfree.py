@@ -30,7 +30,7 @@ from .complexes import (
     _vertices_of,
     faces_by_dimension,
 )
-from .partitions import binomial, check_ints, enumerate_partitions
+from .partitions import binomial, check_ints, check_type, enumerate_partitions
 
 BUILD_CAP = MAX_VERTICES  # a vertex of Δ_{n,ℓ} is a residue in 0..n-1
 BRUTE_FORCE_CAP = 24
@@ -58,19 +58,13 @@ class ZsfParams:
             raise ValueError(f"ell must satisfy 0 < ell < n, got ell={self.ell}, n={self.n}")
 
 
-def check_params(params) -> None:
-    """Raise ValueError unless `params` is a ZsfParams."""
-    if not isinstance(params, ZsfParams):
-        raise ValueError(f"expected a ZsfParams, got {type(params).__name__}")
-
-
 def is_face(params: ZsfParams, members) -> bool:
     """True when no multiset of exactly `ell` elements of `members` sums to 0 mod n.
 
     Layered reachability: R_0 = {0}, R_{t+1} = R_t + members; face iff
     0 ∉ R_ell.  Cost O(ell · n · |members|) bit operations.
     """
-    check_params(params)
+    check_type(params, ZsfParams)
     n, ell = params.n, params.ell
     try:
         members = list(members)
@@ -102,7 +96,7 @@ def enumerate_nlc(params: ZsfParams) -> list[frozenset]:
     with zeros is what makes the count exactly `ell`).  Exponential in n; for
     large parameters use `minimal_nonfaces` directly.
     """
-    check_params(params)
+    check_type(params, ZsfParams)
     n, ell = params.n, params.ell
     found: set[frozenset] = set()
     for m in range((n - 1) * ell // n + 1):
@@ -209,7 +203,7 @@ def minimal_nonfaces(params: ZsfParams) -> list[int]:
     all of them were visited, one set lookup per element.  The orbits of the
     minimal canonical children are the minimal non-faces besides {0}.
     """
-    check_params(params)
+    check_type(params, ZsfParams)
     n, ell = params.n, params.ell
     full = (1 << n) - 1
     img, self_bits, guards, offsets = _unit_table(n)
@@ -362,6 +356,7 @@ def _maximal_nonface_free(n: int, mnf: list[int]) -> list[int]:
                 return
 
     dfs(0, 0, guards, 0, support)
+    del dfs  # `dfs` refers to itself, a reference cycle that holds `found`
     return list(found)
 
 
@@ -372,7 +367,7 @@ def build_complex(params: ZsfParams) -> SimplicialComplex:
     the facet count passes FACET_COUNT_CAP (degenerate near-independent
     instances such as ℓ = 2 with large even n have exponentially many facets).
     """
-    check_params(params)
+    check_type(params, ZsfParams)
     n = params.n
     if n > BUILD_CAP:
         raise CapacityError(f"build_complex supports n ≤ {BUILD_CAP}, got {n}")
@@ -468,6 +463,7 @@ def _f_vector(params: ZsfParams, mnf: list[int], c: SimplicialComplex | None) ->
                 dfs(child, child_images, child_copies, child_blocked, cand & ~child_blocked, size + 1)
 
     dfs(0, 0, guards, 0, rest, 0)
+    del dfs  # `dfs` refers to itself, a reference cycle that holds `counts`
     while not counts[-1]:
         counts.pop()
     return _times(poly, counts)
@@ -511,7 +507,7 @@ def brute_force_complex(params: ZsfParams) -> SimplicialComplex:
     The facet masks are read off the set bits of the unmarked faces by a
     string search, one Python step per facet.
     """
-    check_params(params)
+    check_type(params, ZsfParams)
     n, ell = params.n, params.ell
     check_oracle_capacity(n)
     half = 1 << (n - 2)  # the size of the top block, that of vertex n-1

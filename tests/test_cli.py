@@ -115,6 +115,20 @@ def test_compute_capacity_exits(capsys, monkeypatch, tmp_cache):
     assert code == 4 and "capacity exceeded" in err
 
 
+def test_out_of_memory_exits_4(capsys, monkeypatch, tmp_cache):
+    def exhausted(params):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_complex", exhausted)
+    assert run_cli(capsys, "compute", "30", "15") == (4, "", "capacity exceeded: out of memory\n")
+    assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
+
+
+def test_entry_keys_are_the_keys_compute_prints(capsys):
+    code, out, _ = run_cli(capsys, "compute", "9", "4", "--no-cache")
+    assert code == 0 and json.loads(out).keys() == cli.ENTRY_KEYS
+
+
 def test_compute_single_facet_top_of_range(capsys):
     code, out, _ = run_cli(capsys, "compute", "64", "1")
     assert code == 0
@@ -631,6 +645,13 @@ def test_family_invalid_parameters(capsys):
         assert "invalid parameters" in err
 
 
+def test_family_flags_are_the_family_fields():
+    family = cli.build_parser()._subparsers._group_actions[0].choices["family"]
+    flags = {flag for action in family._actions for flag in action.option_strings}
+    fields = {"--" + name for names in fam.FAMILY_FIELDS.values() for name in names}
+    assert flags - {"-h", "--help", "--oracle", "--no-oracle"} == fields
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -768,9 +789,25 @@ def test_sweep_capacity_messages(capsys, monkeypatch, argv, message):
 @pytest.mark.parametrize("argv", [["table", "--n-max", "24"], ["scan", "isolated", "--p-max", "12"]])
 def test_sweep_limit_admits_its_bound(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "table_rows", lambda n_max: [])
-    monkeypatch.setattr(conj, "isolated_instances", lambda p_max: [])
+    monkeypatch.setattr(conj, "isolated_instances", lambda p_max: [(3, 2)])  # one cheap instance
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan", "isolated", "--p-max", "2"], "p_max = 2 leaves no instance to check"),
+        (["scan", "purity-prime", "--n-max", "2"], "n_max = 2 leaves no instance to check"),
+        (["scan", "hvec-purity", "--n-max", "1"], "n_max = 1 leaves no instance to check"),
+        (["scan", "connectivity", "--n-max", "-3"], "n_max = -3 leaves no instance to check"),
+        (["scan", "log-concavity", "--max-sum", "0"], "max_sum = 0 leaves no instance to check"),
+        (["table", "--n-max", "1"], "table needs n_max at least 2, got 1"),
+    ],
+    ids=["isolated", "purity-prime", "hvec-purity", "connectivity", "log-concavity", "table"],
+)
+def test_empty_sweep_is_refused(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"invalid parameters: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 
@@ -413,3 +414,24 @@ def test_orbit_weights_with_nontrivial_stabilizers(n):
         c = build_complex(p)
         assert is_face(p, {1, n - 1}), (n, ell)
         assert zsf._f_vector(p, minimal_nonfaces(p), None) == faces_by_dimension(c), (n, ell)
+
+
+@pytest.mark.parametrize("n, ell", [(22, 2), (20, 4), (24, 13)])
+def test_searches_leave_no_reference_cycles(n, ell):
+    # each recursive search refers to itself; unless it drops that cycle, its
+    # sets and memo live until the next full garbage collection
+    params = ZsfParams(n, ell)
+    mnf = minimal_nonfaces(params)
+    c = build_complex(params)
+    searches = [
+        lambda: minimal_nonfaces(params),
+        lambda: zsf._maximal_nonface_free(n, mnf),
+        lambda: zsf._f_vector(params, mnf, None),  # no complex: the orbit count, never its fallback
+        lambda: faces_by_dimension(c),
+    ]
+    gc.disable()
+    try:
+        gc.collect()
+        assert [(search(), gc.collect())[1] for search in searches] == [0, 0, 0, 0]
+    finally:
+        gc.enable()
