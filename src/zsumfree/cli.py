@@ -8,8 +8,9 @@ Commands:
                     poset and characteristic polynomial, `--oracle` (n ≤ 24)
                     cross-checks against brute force, `--no-cache` bypasses
                     the artifact cache;
-* family ...      — verify a closed-form family against the pipeline;
-* scan ...        — run a conjecture scanner;
+* family KIND ... — verify a closed-form family against the pipeline;
+* scan CONJECTURE — run a conjecture scanner; each family kind and conjecture
+                    is a subcommand that takes its own flags and no other;
 * table --n-max N — one text row per (n,ℓ);
 * cache-clear     — delete cached artifacts.
 
@@ -279,16 +280,8 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _family_spec(args) -> FamilySpec:
-    """The instance that the flags give; `FamilySpec` refuses a flag its kind does not take."""
-    for name in FAMILY_FIELDS[args.kind]:
-        if getattr(args, name) is None:
-            raise ValueError(f"family '{args.kind}' requires --{name}")
-    return FamilySpec(args.kind, rho=args.rho, m=args.m, p=args.p, e=args.e, s=args.s)
-
-
 def cmd_family(args) -> int:
-    spec = _family_spec(args)
+    spec = FamilySpec(args.kind, **{name: getattr(args, name) for name in FAMILY_FIELDS[args.kind]})
     report = verify_family(spec, oracle=args.oracle)
     print(json.dumps(report, indent=2, sort_keys=True))
     if not family_report_ok(spec, report):
@@ -299,18 +292,10 @@ def cmd_family(args) -> int:
 
 def cmd_scan(args) -> int:
     scanner, flag = SCANNERS[args.conjecture]
-    stray = [other for other in SCAN_DEFAULTS if other != flag and getattr(args, other) is not None]
-    if args.include_repeated and args.conjecture != "log-concavity":
-        stray.append("include_repeated")
-    if stray:
-        raise ValueError(f"--{stray[0].replace('_', '-')} does not apply to scan {args.conjecture}")
-    value = getattr(args, flag)
-    if value is None:
-        value = SCAN_DEFAULTS[flag]
     if args.include_repeated:
-        report = scanner(value, include_repeated=True)
+        report = scanner(getattr(args, flag), include_repeated=True)
     else:
-        report = scanner(value)
+        report = scanner(getattr(args, flag))
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
 
@@ -384,24 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("family", help="verify a closed-form facet family")
-    p.add_argument("kind", choices=list(FAMILY_FIELDS))
-    for name in dict.fromkeys(chain.from_iterable(FAMILY_FIELDS.values())):
-        p.add_argument("--" + name, type=int)
-    oracle = p.add_mutually_exclusive_group()
-    oracle.add_argument("--oracle", action="store_const", const=True, help="force the brute-force cross-check")
-    oracle.add_argument("--no-oracle", dest="oracle", action="store_const", const=False,
-                        help="skip the brute-force cross-check")
     p.set_defaults(func=cmd_family)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, fields in FAMILY_FIELDS.items():
+        p = kinds.add_parser(kind)
+        for name in fields:
+            p.add_argument("--" + name, type=int, required=True)
+        oracle = p.add_mutually_exclusive_group()
+        oracle.add_argument("--oracle", action="store_const", const=True, help="force the brute-force cross-check")
+        oracle.add_argument("--no-oracle", dest="oracle", action="store_const", const=False,
+                            help="skip the brute-force cross-check")
 
     p = sub.add_parser("scan", help="run a conjecture scanner")
-    p.add_argument("conjecture", choices=sorted(SCANNERS))
-    for flag, default in SCAN_DEFAULTS.items():
-        takers = ", ".join(name for name, (_, taken) in SCANNERS.items() if taken == flag)
-        p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=int,
-                       help=f"{takers} only (default {default})")
-    p.add_argument("--include-repeated", action="store_true",
-                   help="log-concavity only: also scan partitions with repeated parts")
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=cmd_scan, include_repeated=False)  # set by the log-concavity subcommand alone
+    conjectures = p.add_subparsers(dest="conjecture", required=True)
+    for conjecture, (_, flag) in sorted(SCANNERS.items()):
+        p = conjectures.add_parser(conjecture)
+        p.add_argument("--" + flag.replace("_", "-"), type=int, default=SCAN_DEFAULTS[flag],
+                       help="default %(default)s")
+        if conjecture == "log-concavity":
+            p.add_argument("--include-repeated", action="store_true",
+                           help="also scan partitions with repeated parts")
 
     p = sub.add_parser("table", help="survey all (n,ℓ) up to n-max, one text row each")
     p.add_argument("--n-max", dest="n_max", type=int, required=True)

@@ -123,6 +123,10 @@ class SimplicialComplex:
     @classmethod
     def from_masks(cls, ground: int, facets: list[int]) -> SimplicialComplex:
         """The complex on the vertices of mask `ground` with facet masks `facets`."""
+        try:
+            facets = list(facets)
+        except TypeError as exc:
+            raise ValueError(f"facets must be an iterable of masks: {exc}") from None
         c = cls.__new__(cls)
         c._store(ground, facets)
         return c

@@ -32,8 +32,8 @@ from .complexes import (
     isolated_vertices,
 )
 from .families import is_prime
-from .partitions import check_ints, enumerate_partitions
-from .zerosumfree import ZsfParams, _f_vector, build_complex, minimal_nonfaces
+from .partitions import check_ints, check_type, enumerate_partitions
+from .zerosumfree import ZsfParams, _f_vector, _maximal_nonface_free, build_complex, minimal_nonfaces
 
 N_MAX_CAP = 24  # the sweep limit on n for `table` and the scans (isolated: n = 2p)
 MAX_SUM_CAP = 40  # log-concavity: 8,696 partitions with distinct parts, 215,307 in all
@@ -118,8 +118,9 @@ def scan_hvector_purity(n_max: int) -> ScanReport:
 
     def check(params):
         p = ZsfParams(**params)
-        c = build_complex(p)
-        h = f_to_h(_f_vector(p, minimal_nonfaces(p), c))
+        mnf = minimal_nonfaces(p)  # one walk, read by the facet search and the f-vector
+        c = _maximal_nonface_free(p.n, mnf)
+        h = f_to_h(_f_vector(p, mnf, c))
         if all(x >= 0 for x in h[1:]) and not is_pure(c):
             yield {"params": params, "witness": {"h_vector": h, "pure": False}}
 
@@ -167,6 +168,7 @@ def scan_log_concavity(max_sum: int, include_repeated: bool = False) -> ScanRepo
                 yield {"params": {"lambda": list(lam)}, "witness": {"k": k, "unsigned_h": h[1:]}}
                 return
 
+    check_type(include_repeated, bool)
     rng = {"max_sum": max_sum, "include_repeated": include_repeated}
     return _scan("log-concavity", rng, MAX_SUM_CAP,
                  lambda: log_concavity_instances(max_sum, include_repeated), check)

@@ -247,6 +247,8 @@ def verify_family(spec: FamilySpec, oracle: bool | None = None) -> dict:
     False skips it.
     """
     check_type(spec, FamilySpec)
+    if oracle is not None:
+        check_type(oracle, bool)
     if oracle:
         check_oracle_capacity(spec.n)
     params = ZsfParams(spec.n, spec.ell)

@@ -257,8 +257,9 @@ def _edges_at(n: int, edges: list[int]) -> list[list[int]]:
     return edges_at
 
 
-def _maximal_nonface_free(n: int, mnf: list[int]) -> list[int]:
-    """Maximal subsets of 0..n-1 holding none of the minimal non-faces `mnf`.
+def _maximal_nonface_free(n: int, mnf: list[int]) -> SimplicialComplex:
+    """The complex on 0..n-1 whose facets are the maximal subsets holding
+    none of the minimal non-faces `mnf`.
 
     A vertex is supported unless it is a non-face ({0} always is); the edges
     are the other non-faces.  Multiplying by a unit u of Z/n permutes the
@@ -357,7 +358,7 @@ def _maximal_nonface_free(n: int, mnf: list[int]) -> list[int]:
 
     dfs(0, 0, guards, 0, support)
     del dfs  # `dfs` refers to itself, a reference cycle that holds `found`
-    return list(found)
+    return SimplicialComplex.from_masks(full, found)
 
 
 def build_complex(params: ZsfParams) -> SimplicialComplex:
@@ -371,7 +372,7 @@ def build_complex(params: ZsfParams) -> SimplicialComplex:
     n = params.n
     if n > BUILD_CAP:
         raise CapacityError(f"build_complex supports n ≤ {BUILD_CAP}, got {n}")
-    return SimplicialComplex.from_masks((1 << n) - 1, _maximal_nonface_free(n, minimal_nonfaces(params)))
+    return _maximal_nonface_free(n, minimal_nonfaces(params))
 
 
 def _f_vector(params: ZsfParams, mnf: list[int], c: SimplicialComplex | None) -> list[int]:

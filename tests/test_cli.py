@@ -46,6 +46,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """The stderr of a command that argparse refuses, with exit 2 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, ""), argv
+    return captured.err
+
+
+def subcommand(*names):
+    """The parser of the subcommand that `names` spell, as in `subcommand("scan", "isolated")`."""
+    parser = cli.build_parser()
+    for name in names:
+        parser = parser._subparsers._group_actions[0].choices[name]
+    return parser
+
+
+def flags(parser):
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
 # ---------------------------------------------------------------------------
 # compute
 
@@ -636,32 +657,32 @@ def test_family_invalid_parameters(capsys):
     cases = [
         ["family", "arms-legs", "--p", "3", "--s", "3"],
         ["family", "doubling", "--rho", "4", "--m", "1"],
-        ["family", "doubling", "--rho", "3"],
         ["family", "prime-power", "--p", "6", "--e", "1"],
     ]
     for argv in cases:
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2, argv
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
         assert "invalid parameters" in err
+    err = usage_error(capsys, "family", "doubling", "--rho", "3")
+    assert "the following arguments are required: --m" in err
 
 
 def test_family_flags_are_the_family_fields():
-    family = cli.build_parser()._subparsers._group_actions[0].choices["family"]
-    flags = {flag for action in family._actions for flag in action.option_strings}
-    fields = {"--" + name for names in fam.FAMILY_FIELDS.values() for name in names}
-    assert flags - {"-h", "--help", "--oracle", "--no-oracle"} == fields
+    for kind, fields in fam.FAMILY_FIELDS.items():
+        assert flags(subcommand("family", kind)) - {"-h", "--help", "--oracle", "--no-oracle"} == {
+            "--" + name for name in fields}, kind
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["doubling", "--rho", "3", "--m", "1", "--s", "2"], "family 'doubling' takes no s"),
-        (["arms-legs", "--p", "5", "--s", "3", "--e", "9"], "family 'arms-legs' takes no e"),
+        (["doubling", "--rho", "3", "--m", "1", "--s", "2"], "unrecognized arguments: --s 2"),
+        (["arms-legs", "--p", "5", "--s", "3", "--e", "9"], "unrecognized arguments: --e 9"),
     ],
     ids=["doubling", "arms-legs"],
 )
 def test_family_refuses_a_flag_of_another_kind(capsys, argv, message):
-    assert run_cli(capsys, "family", *argv) == (2, "", f"invalid parameters: {message}\n")
+    assert usage_error(capsys, "family", *argv).endswith(f"error: {message}\n")
 
 
 def test_family_capacity(capsys, monkeypatch):
@@ -824,8 +845,13 @@ def test_empty_sweep_is_refused(capsys, argv, message):
 def test_scan_refuses_a_flag_of_another_scanner(capsys, monkeypatch, argv, flag):
     monkeypatch.setattr(conj, "build_complex", _built_past_the_cap)
     monkeypatch.setattr(conj, "log_concavity_instances", _built_past_the_cap)
-    expected = f"invalid parameters: {flag} does not apply to scan {argv[0]}\n"
-    assert run_cli(capsys, "scan", *argv) == (2, "", expected)
+    assert f"error: unrecognized arguments: {flag}" in usage_error(capsys, "scan", *argv)
+
+
+def test_scan_flags_are_the_range_flags():
+    for conjecture, (_, flag) in conj.SCANNERS.items():
+        own = {"--" + flag.replace("_", "-")} | ({"--include-repeated"} if conjecture == "log-concavity" else set())
+        assert flags(subcommand("scan", conjecture)) - {"-h", "--help"} == own, conjecture
 
 
 def test_scan_counterexample_exit(capsys, monkeypatch):

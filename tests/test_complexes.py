@@ -84,6 +84,12 @@ def test_mask_route_refuses_what_the_vertex_route_refuses():
             SimplicialComplex(vertices, facets)
 
 
+@pytest.mark.parametrize("facets", [3, None], ids=["int", "none"])
+def test_from_masks_refuses_a_facet_list_that_is_not_iterable(facets):
+    with pytest.raises(ValueError, match="facets must be an iterable of masks"):
+        SimplicialComplex.from_masks(0b111, facets)
+
+
 def test_facet_masks_follow_the_facet_order():
     for c in corpus_complexes():
         assert len(c._facet_masks) == len(c.facets)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import zsumfree.conjectures as conj
+import zsumfree.zerosumfree as zsf
 from zsumfree.complexes import (
     CapacityError,
     f_to_h,
@@ -90,6 +91,30 @@ def test_scan_hvector_purity():
     c = build_complex(ZsfParams(6, 3))
     assert f_to_h(faces_by_dimension(c)) == [1, 0, 0, 0]
     assert is_pure(c)
+
+
+def test_scan_hvector_purity_walks_once_per_instance(monkeypatch):
+    walk, f_vector = conj.minimal_nonfaces, conj._f_vector
+    walks, counted = [], []
+
+    def counted_walk(params):
+        walks.append(params)
+        return walk(params)
+
+    def recorded_f_vector(params, mnf, c):
+        f = f_vector(params, mnf, c)
+        counted.append((params, f, c))
+        return f
+
+    for module in (conj, zsf):  # the scan's own walks and those inside `build_complex`
+        monkeypatch.setattr(module, "minimal_nonfaces", counted_walk)
+    monkeypatch.setattr(conj, "_f_vector", recorded_f_vector)
+    rep = scan_hvector_purity(14)
+    assert len(walks) == len(counted) == rep.checked == sum(n - 1 for n in range(2, 15))
+    for params, f, c in counted:
+        reference = build_complex(params)
+        assert f_to_h(f) == f_to_h(faces_by_dimension(reference)), params
+        assert is_pure(c) == is_pure(reference), params
 
 
 def test_scan_connectivity():

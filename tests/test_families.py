@@ -158,6 +158,17 @@ def test_library_arguments_must_have_their_type(function, argument, expected):
     assert str(exc.value) == f"expected a {expected}, got {type(argument).__name__}"
 
 
+@pytest.mark.parametrize("value", ["no", 1, 0], ids=["str", "one", "zero"])
+@pytest.mark.parametrize("call", [
+    lambda value: verify_family(SPEC, oracle=value),
+    lambda value: scan_log_concavity(5, include_repeated=value),
+], ids=["oracle", "include-repeated"])
+def test_library_flags_must_be_bools(call, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"expected a bool, got {type(value).__name__}"
+
+
 def test_spec_capacity():
     for bad in [
         lambda: FamilySpec.doubling(5, 3),
