@@ -28,9 +28,10 @@ The poset is built on bitsets over its elements, bit i for element i:
   below k, so what is left is exactly the covers not yet taken;
 * the intersection of all facets lies in every support, so the last
   element is the poset's only maximal element, the top: the poset is
-  graded iff every maximal chain from 0̂ has one length, that is iff the
-  shortest and the longest saturated chain from 0̂ to the top, taken over
-  lower covers, have one length, and that length is the rank.
+  graded iff the longest saturated chain from 0̂, taken over lower covers,
+  is a rank function, one longer at j than at each lower cover of j
+  (Stanley, EC1 §3.1), and its length at the top is the rank;
+* χ gains μ(j) at x^{dim j} as each Möbius value is found.
 """
 
 from __future__ import annotations
@@ -38,14 +39,8 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_, or_
 
-from .complexes import (
-    CapacityError,
-    SimplicialComplex,
-    _holders,
-    _sorted_sets,
-    _vertices_of,
-)
-from .partitions import check_ints, check_type
+from .complexes import CapacityError, SimplicialComplex, _holders, _vertices_of
+from .partitions import as_tuple, check_ints, check_type
 
 POSET_ELEMENT_CAP = 600
 
@@ -58,8 +53,7 @@ class IntersectionPoset:
     build keeps, as bitsets over the elements, the holders of each vertex
     and the elements of each Möbius value; it peels each element's lower
     covers off its lower set from the top, and reads the grading from the
-    shortest and longest chains below the last element, the top (see the
-    module docstring).
+    longest chain below each element (see the module docstring).
     """
 
     def __init__(self, c: SimplicialComplex):
@@ -75,10 +69,12 @@ class IntersectionPoset:
             supports.add(f)
             if len(supports) > POSET_ELEMENT_CAP:
                 raise CapacityError(f"intersection closure exceeds {POSET_ELEMENT_CAP} subspaces")
-        ordered = _sorted_sets(supports)
-        ordered.sort(key=int.bit_count, reverse=True)  # stable: each size keeps its vertex order
+        # descending size, each size by ascending vertex tuple, as in
+        # `complexes._sorted_sets`; both sorts are stable
+        ordered = sorted(supports, key=lambda m: bin(m)[:1:-1], reverse=True)
+        ordered.sort(key=int.bit_count, reverse=True)
 
-        self.n_vertices = ambient_mask.bit_count()
+        self.n_vertices = n = ambient_mask.bit_count()
         self.support_masks = ordered           # element i+1 has support ordered[i]
         self.degenerate = len(facet_masks) == 1
 
@@ -91,9 +87,10 @@ class IntersectionPoset:
         below = [0] * size      # bit i of below[j] is set iff i lies strictly below j
         mob = [1] + [0] * (size - 1)
         classes = {1: 1}        # Möbius value -> the elements holding it so far
+        coeffs = [0] * (n + 1)
+        coeffs[n] = 1           # the ambient space, μ(0̂) = 1
         covers = []
-        shortest = [0] * size   # shortest and longest saturated chain from 0̂
-        longest = [0] * size
+        longest = [0] * size    # longest saturated chain from 0̂
         for j in range(1, size):
             bit = 1 << j
             lower = reduce(and_, map(holders.__getitem__, vertices[j]), everyone) ^ bit
@@ -101,41 +98,21 @@ class IntersectionPoset:
             m = -sum(value * (lower & members).bit_count() for value, members in classes.items())
             mob[j] = m
             classes[m] = classes.get(m, 0) | bit
-            low, high = size, 0
+            coeffs[len(vertices[j])] += m
+            high = 0
             while lower:
                 k = lower.bit_length() - 1
                 covers.append((k, j))
-                if shortest[k] < low:
-                    low = shortest[k]
                 if longest[k] > high:
                     high = longest[k]
                 lower &= ~(below[k] | 1 << k)
-            shortest[j] = low + 1
             longest[j] = high + 1
         self.mobius = mob
+        self.char_poly = coeffs
         covers.sort()
         self.covers = covers
-
-        coeffs = [0] * (self.n_vertices + 1)
-        coeffs[self.n_vertices] += mob[0]
-        for j in range(1, size):
-            coeffs[ordered[j - 1].bit_count()] += mob[j]
-        self.char_poly = coeffs
-
-        # the last element, the intersection of all facets, lies above all
-        rank = shortest[-1]
-        self.graded = rank == longest[-1]
-        self.rank = rank if self.graded else None
-
-    def element_support(self, index: int):
-        """Support of element `index` as a sorted tuple, or None for the ambient space."""
-        if index == 0:
-            return None
-        return _vertices_of(self.support_masks[index - 1])
-
-    def atoms(self) -> list[tuple[int, ...]]:
-        """Supports of the elements covering the minimum."""
-        return [self.element_support(j) for (i, j) in self.covers if i == 0]
+        self.graded = all(longest[j] == longest[k] + 1 for k, j in covers)
+        self.rank = longest[-1] if self.graded else None
 
     def to_json(self) -> dict:
         elements = [{"support": "ambient", "dim": self.n_vertices, "mobius": self.mobius[0]}]
@@ -164,7 +141,7 @@ def disjoint_union_char_poly(n_vertices: int, parts) -> list[int]:
 
     The parts λ_i are the facet sizes: ints ≥ 1 that sum to |V| = `n_vertices`;
     anything else raises ValueError."""
-    parts = tuple(parts)
+    parts = as_tuple(parts, "parts")
     check_ints(n_vertices=n_vertices, **{f"part {i}": p for i, p in enumerate(parts)})
     if min(parts, default=1) < 1 or sum(parts) != n_vertices:
         raise ValueError(f"parts must be ints ≥ 1 summing to {n_vertices}, got {parts}")

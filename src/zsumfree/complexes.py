@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from itertools import chain, zip_longest
 from operator import and_, or_
 
-from .partitions import binomial, check_partition, check_type, conjugate
+from .partitions import as_tuple, binomial, check_partition, check_type, conjugate
 
 MAX_VERTICES = 64  # the width of a vertex mask: vertices are 0..MAX_VERTICES-1
 _VERTEX_RANGE = f"vertices must be integers in 0..{MAX_VERTICES - 1}"
@@ -32,13 +32,14 @@ def _mask_of(vertices) -> int:
     return m
 
 
-def _check_vertices(vertices) -> None:
-    """Raise ValueError unless every vertex is an int: bools, floats, strs and
-    numpy integers are refused, as `ZsfParams` refuses them for n and ell."""
-    kinds = set(map(type, vertices)) - {int}
+def _check_int_types(values, name: str) -> None:
+    """Raise ValueError unless every value is an int, in one pass over their
+    types: bools, floats, strs and numpy integers are refused, as `ZsfParams`
+    refuses them for n and ell."""
+    kinds = set(map(type, values)) - {int}
     if kinds:
         names = ", ".join(sorted(kind.__name__ for kind in kinds))
-        raise ValueError(f"vertices must be ints, got {names}")
+        raise ValueError(f"{name} must be ints, got {names}")
 
 
 def _byte_vertices(j: int, kind=int) -> tuple[tuple, ...]:
@@ -115,7 +116,7 @@ class SimplicialComplex:
             raise ValueError(f"ground and facets must be iterables of vertices: {exc}") from None
         # lists, not sets: a set would drop True beside 1 before the check
         vertices = [*ground, *chain.from_iterable(facets)]
-        _check_vertices(vertices)
+        _check_int_types(vertices, "vertices")
         if vertices and not 0 <= min(vertices) <= max(vertices) < MAX_VERTICES:
             raise ValueError(_VERTEX_RANGE)
         self._store(_mask_of(ground), [_mask_of(f) for f in facets])
@@ -249,7 +250,10 @@ def faces_by_dimension(c: SimplicialComplex) -> list[int]:
 
 
 def f_to_h(f: list[int]) -> list[int]:
-    """h-vector from an f-vector via the standard binomial transform."""
+    """h-vector from an f-vector via the standard binomial transform; the
+    f-vector is an iterable of ints starting with f_{-1} = 1, else ValueError."""
+    f = as_tuple(f, "an f-vector")
+    _check_int_types(f, "f-vector entries")
     if not f or f[0] != 1:
         raise ValueError("an f-vector starts with f_{-1} = 1")
     d = len(f) - 2

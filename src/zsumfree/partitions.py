@@ -24,9 +24,18 @@ def check_type(value, cls: type) -> None:
         raise ValueError(f"expected a {cls.__name__}, got {type(value).__name__}")
 
 
+def as_tuple(values, name: str) -> tuple:
+    """`values`, meant to be ints, as a tuple; ValueError naming their type
+    when they are not iterable (the entries are left to the caller)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable of ints, got {type(values).__name__}") from None
+
+
 def check_partition(parts) -> tuple[int, ...]:
     """Validate a partition given as an iterable of ints; return it as a tuple."""
-    parts = tuple(parts)
+    parts = as_tuple(parts, "a partition")
     check_ints(**{f"part {i}": p for i, p in enumerate(parts)})
     if any(p <= 0 for p in parts):
         raise ValueError(f"partition parts must be positive: {parts}")

@@ -25,7 +25,7 @@ from .complexes import (
     MAX_VERTICES,
     CapacityError,
     SimplicialComplex,
-    _check_vertices,
+    _check_int_types,
     _sorted_sets,
     _vertices_of,
     faces_by_dimension,
@@ -71,7 +71,7 @@ def is_face(params: ZsfParams, members) -> bool:
         s = set(members)
     except TypeError as exc:  # not iterable, or a member that is unhashable
         raise ValueError(f"members must be an iterable of residues: {exc}") from None
-    _check_vertices(members)  # as given: the set drops True beside 1
+    _check_int_types(members, "vertices")  # as given: the set drops True beside 1
     s = sorted(s)
     if any(x < 0 or x >= n for x in s):
         raise ValueError(f"members must be residues in 0..{n - 1}")

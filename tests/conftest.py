@@ -1,4 +1,5 @@
-"""Shared fixtures: a corpus of small complexes and acceptance reporting."""
+"""Shared fixtures and helpers: a corpus of small complexes, set and
+complex shorthands, and acceptance reporting."""
 
 from __future__ import annotations
 
@@ -13,6 +14,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def fs(*xs):
+    return frozenset(xs)
+
+
+def explicit_disjoint_union(parts) -> SimplicialComplex:
+    """The union of simplices on consecutive fresh vertex blocks."""
+    facets = []
+    base = 0
+    for size in parts:
+        facets.append(frozenset(range(base, base + size)))
+        base += size
+    return SimplicialComplex(range(base), facets)
 
 
 def decoded(masks) -> list[frozenset]:

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 import conftest
+from conftest import explicit_disjoint_union
 from zsumfree.arrangements import (
     build_poset,
     disjoint_union_char_poly,
@@ -157,15 +158,6 @@ def test_criterion_5_gradedness_and_rank():
                 spec = FamilySpec.doubling(rho, m)
                 poset = build_poset(build_complex(ZsfParams(spec.n, spec.ell)))
                 assert (poset.graded, poset.rank) == (True, 1), spec
-
-
-def explicit_disjoint_union(parts) -> SimplicialComplex:
-    facets = []
-    base = 0
-    for size in parts:
-        facets.append(frozenset(range(base, base + size)))
-        base += size
-    return SimplicialComplex(range(base), facets)
 
 
 def test_criterion_6_formula_suite():

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 import zsumfree.arrangements as arr
-from conftest import corpus_complexes, hand_fixtures
+from conftest import corpus_complexes, fs, hand_fixtures
 from zsumfree.arrangements import (
     IntersectionPoset,
     build_poset,
@@ -16,18 +16,25 @@ from zsumfree.arrangements import (
 from zsumfree.complexes import (
     CapacityError,
     SimplicialComplex,
+    _vertices_of,
     decompose_disjoint_simplices,
     faces_by_dimension,
 )
 from zsumfree.zerosumfree import ZsfParams, build_complex
 
 
-def fs(*xs):
-    return frozenset(xs)
-
-
 def poset_corpus():
     return [c for c in corpus_complexes() if c.dim() >= 0]
+
+
+def supports(p) -> list:
+    """Each element's support as a sorted tuple, None for the ambient space."""
+    return [None, *map(_vertices_of, p.support_masks)]
+
+
+def atoms(p) -> list:
+    """Supports of the elements covering the minimum, element 0."""
+    return [_vertices_of(p.support_masks[j - 1]) for i, j in p.covers if i == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +43,7 @@ def poset_corpus():
 
 def test_two_disjoint_facets_poset():
     p = build_poset(build_complex(ZsfParams(12, 6)))
-    supports = [p.element_support(i) for i in range(len(p.mobius))]
-    assert supports == [None, (1, 5, 9), (3, 7, 11), ()]
+    assert supports(p) == [None, (1, 5, 9), (3, 7, 11), ()]
     assert p.mobius == [1, -1, -1, 1]
     assert p.char_poly == [1, 0, 0, -2, 0, 0, 1]
 
@@ -52,11 +58,10 @@ def test_single_facet_poset_is_degenerate():
 
 def test_arms_and_odd_facet_poset_structure():
     p = build_poset(build_complex(ZsfParams(6, 5)))
-    supports = {p.element_support(i) for i in range(1, len(p.mobius))}
-    assert supports == {(1, 4), (2, 5), (1, 3, 5), (1,), (5,), ()}
-    assert sorted(p.atoms()) == [(1, 3, 5), (1, 4), (2, 5)]
+    assert set(supports(p)[1:]) == {(1, 4), (2, 5), (1, 3, 5), (1,), (5,), ()}
+    assert sorted(atoms(p)) == [(1, 3, 5), (1, 4), (2, 5)]
     assert (p.graded, p.rank) == (True, 3)
-    mob = {p.element_support(i): p.mobius[i] for i in range(len(p.mobius))}
+    mob = dict(zip(supports(p), p.mobius))
     assert mob[(1, 4)] == mob[(2, 5)] == mob[(1, 3, 5)] == -1
     assert mob[(1,)] == mob[(5,)] == 1
     assert mob[()] == 0
@@ -118,7 +123,7 @@ def test_atoms_are_facet_supports():
         if len(c.facets) < 2:
             continue
         p = build_poset(c)
-        assert sorted(p.atoms()) == sorted(tuple(sorted(f)) for f in c.facets), c.facets
+        assert sorted(atoms(p)) == sorted(tuple(sorted(f)) for f in c.facets), c.facets
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,7 @@ def test_disjoint_union_char_poly_closed_form():
         (3, (True, 2)),
         (3, (0, 3)),
         (6, (3, 2)),     # parts short of |V|
+        (3, None),       # parts that are not iterable
     ],
 )
 def test_disjoint_union_char_poly_refuses_bad_arguments(n_vertices, parts):
@@ -250,9 +256,17 @@ def test_grading_from_every_maximal_chain():
     """Graded means every maximal chain from element 0 has one length, the rank.
 
     The rank is read at the last element, the intersection of all facets, so
-    that element must be the only one with no upper cover."""
-    for c in poset_corpus() + [NON_GRADED]:
-        p = build_poset(c)
+    that element must be the only one with no upper cover.  The corpus is
+    every Δ_{n,ℓ} with n ≤ 16 whose poset builds (17 of those 115 are not
+    graded), the hand fixtures and NON_GRADED."""
+    grid = [build_complex(ZsfParams(n, ell)) for n in range(2, 17) for ell in range(1, n)]
+    checked = 0
+    for c in grid + [c for c in hand_fixtures() if c.dim() >= 0] + [NON_GRADED]:
+        try:
+            p = build_poset(c)
+        except CapacityError:
+            continue
+        checked += 1
         ups = [[] for _ in p.mobius]
         for i, j in p.covers:
             ups[i].append(j)
@@ -267,6 +281,7 @@ def test_grading_from_every_maximal_chain():
                 lengths.add(length)
         graded = len(lengths) == 1
         assert (p.graded, p.rank) == (graded, min(lengths) if graded else None), c
+    assert checked == 115 + len(hand_fixtures())  # all but the void fixture, and NON_GRADED
 
 
 def test_disjoint_union_posets_have_rank_two():

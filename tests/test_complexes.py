@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import corpus_complexes, decoded, hand_fixtures
+from conftest import corpus_complexes, decoded, explicit_disjoint_union, fs, hand_fixtures
 from zsumfree.complexes import (
     SimplicialComplex,
     _mask_of,
@@ -26,10 +26,6 @@ from zsumfree.complexes import (
 )
 from zsumfree.partitions import binomial, enumerate_partitions
 from zsumfree.zerosumfree import ZsfParams, build_complex, is_face
-
-
-def fs(*xs):
-    return frozenset(xs)
 
 
 def brute_faces(c: SimplicialComplex) -> set[frozenset]:
@@ -170,6 +166,11 @@ def count_by_size(faces) -> list[int]:
         (h_vector_disjoint_simplices, [2, True], "part 1 must be an int, got True"),
         (f_vector_disjoint_simplices, ["3"], "part 0 must be an int, got '3'"),
         (f_vector_disjoint_simplices, [3.0, 1], "part 0 must be an int, got 3.0"),
+        (f_vector_disjoint_simplices, None, "a partition must be an iterable of ints, got NoneType"),
+        (h_vector_disjoint_simplices, 5, "a partition must be an iterable of ints, got int"),
+        (f_to_h, [1, 2.5], "f-vector entries must be ints, got float"),
+        (f_to_h, [1, "a"], "f-vector entries must be ints, got str"),
+        (f_to_h, 5, "an f-vector must be an iterable of ints, got int"),
     ],
 )
 def test_disjoint_simplex_vectors_refuse_non_int_parts(vector, parts, message):
@@ -256,16 +257,6 @@ def test_disjoint_simplices_h_examples():
     assert h_vector_disjoint_simplices((3, 1)) == [1, 1, -2, 1]
     assert h_vector_disjoint_simplices((3, 3)) == [1, 3, -3, 1]
     assert h_vector_disjoint_simplices((5,)) == [1, 0, 0, 0, 0, 0]
-
-
-def explicit_disjoint_union(parts) -> SimplicialComplex:
-    """The union of simplices on consecutive fresh vertex blocks."""
-    facets = []
-    base = 0
-    for size in parts:
-        facets.append(frozenset(range(base, base + size)))
-        base += size
-    return SimplicialComplex(range(base), facets)
 
 
 def test_disjoint_formulas_match_explicit_complexes():

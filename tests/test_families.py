@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import zsumfree.arrangements as arrangements
+from conftest import fs
 from zsumfree.complexes import (
     CapacityError,
     SimplicialComplex,
@@ -35,10 +36,6 @@ from zsumfree.zerosumfree import (
     is_face,
     minimal_nonfaces,
 )
-
-
-def fs(*xs):
-    return frozenset(xs)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,8 @@ class Size(IntEnum):
         (lambda: check_partition(["3"]), "part 0 must be an int, got '3'"),
         (lambda: check_partition([Size.THREE]), "part 0 must be an int, got <Size.THREE: 3>"),
         (lambda: conjugate([True]), "part 0 must be an int, got True"),
+        (lambda: check_partition(None), "a partition must be an iterable of ints, got NoneType"),
+        (lambda: conjugate(5), "a partition must be an iterable of ints, got int"),
         (lambda: enumerate_partitions(True, 2, 2), "total must be an int, got True"),
         (lambda: enumerate_partitions(4, 2.0, 2), "max_parts must be an int, got 2.0"),
         (lambda: count_partitions(4.0, 2, 2), "total must be an int, got 4.0"),

@@ -9,7 +9,7 @@ import math
 import pytest
 
 import zsumfree.zerosumfree as zsf
-from conftest import decoded
+from conftest import decoded, fs
 from zsumfree.complexes import (
     CapacityError,
     _mask_of,
@@ -25,10 +25,6 @@ from zsumfree.zerosumfree import (
     is_face,
     minimal_nonfaces,
 )
-
-
-def fs(*xs):
-    return frozenset(xs)
 
 
 def multiset_is_face(n: int, ell: int, members) -> bool:
